@@ -37,7 +37,6 @@ from .inference import (
 )
 from .linalg import (
     DataMatrix,
-    JacobiConvergenceError,
     SpectralDecomposition,
     SymMatrix,
     center_columns,
@@ -90,7 +89,6 @@ __all__ = [
     "test_f2",
     "test_f3",
     "DataMatrix",
-    "JacobiConvergenceError",
     "SpectralDecomposition",
     "SymMatrix",
     "center_columns",

@@ -18,13 +18,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy import optimize
 
 from .estimators import DegenerateSpectrumError, NrEstimate
 from .special import (
     chi2_cdf,
-    chi2_pdf,
     chi2_quantile,
     chi2_sf,
+    chi2_upper_point,
     f_cdf,
     f_upper_point,
 )
@@ -122,10 +123,11 @@ class JarqueBera:
 def optimal_ab(df: int, alpha: float) -> QuantilePair:
     """Minimum-length chi-square quantile pair at coverage 1 - alpha.
 
-    Minimizes 1/a - 1/b subject to G_df(b) - G_df(a) = 1 - alpha by a
-    golden-section search over a, then polishes the root of the
-    stationarity condition a^2 g(a) = b^2 g(b) by bisection. The result
-    is deterministic for fixed (df, alpha).
+    Minimizes 1/a - 1/b subject to G_df(a) + (1 - G_df(b)) = alpha. With
+    b(a) the upper point at tail mass alpha - G_df(a), the optimum is the
+    root over a of the stationarity condition a^2 g(a) = b^2 g(b) in log
+    form, (df/2 + 1) ln(b/a) = (b - a)/2 (Tate & Klett 1959), found by
+    Brent's method. The result is deterministic for fixed (df, alpha).
     """
     df = int(df)
     if df < 2:
@@ -136,60 +138,22 @@ def optimal_ab(df: int, alpha: float) -> QuantilePair:
     if alpha < 1e-6:
         raise ValueError(f"alpha={alpha} is below the solver bracket (1e-6)")
 
-    coverage = 1.0 - alpha
-
     def b_of(a: float) -> float:
-        return chi2_quantile(df, chi2_cdf(df, a) + coverage)
-
-    def objective(a: float) -> float:
-        return 1.0 / a - 1.0 / b_of(a)
+        return chi2_upper_point(df, alpha - chi2_cdf(df, a))
 
     def stationarity(a: float) -> float:
         b = b_of(a)
-        return a * a * chi2_pdf(df, a) - b * b * chi2_pdf(df, b)
+        return (0.5 * df + 1.0) * math.log(b / a) - 0.5 * (b - a)
 
-    a_hi = chi2_quantile(df, alpha)
-    a_lo = chi2_quantile(df, alpha * 1e-4)
-
-    # golden-section: the objective is unimodal in a on (0, q_alpha)
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    left, right = a_lo, a_hi * (1.0 - 1e-9)
-    x1 = right - inv_phi * (right - left)
-    x2 = left + inv_phi * (right - left)
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(80):
-        if f1 <= f2:
-            right, x2, f2 = x2, x1, f1
-            x1 = right - inv_phi * (right - left)
-            f1 = objective(x1)
-        else:
-            left, x1, f1 = x1, x2, f2
-            x2 = left + inv_phi * (right - left)
-            f2 = objective(x2)
-        if right - left <= 1e-10 * max(1.0, right):
-            break
-    a = 0.5 * (left + right)
-
-    # polish: bisect the stationarity condition around the golden minimum
-    width = max(1e-3 * a, 4.0 * (right - left))
-    lo = max(a - width, a_lo * 1e-3)
-    hi = min(a + width, a_hi * (1.0 - 1e-12))
-    s_lo, s_hi = stationarity(lo), stationarity(hi)
-    if s_lo * s_hi > 0.0:
-        lo, hi = a_lo * 1e-3, a_hi * (1.0 - 1e-12)
-        s_lo, s_hi = stationarity(lo), stationarity(hi)
-    if s_lo * s_hi <= 0.0:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            s_mid = stationarity(mid)
-            if s_mid == 0.0 or hi - lo <= 1e-14 * max(1.0, mid):
-                lo = hi = mid
-                break
-            if (s_mid > 0.0) == (s_hi > 0.0):
-                hi, s_hi = mid, s_mid
-            else:
-                lo, s_lo = mid, s_mid
-        a = 0.5 * (lo + hi)
+    # a falls to ~1e-6 for small df and alpha, where brentq's default
+    # absolute xtol (2e-12) would stop far from the root; converge on
+    # its relative tolerance instead
+    a = optimize.brentq(
+        stationarity,
+        chi2_quantile(df, 1e-4 * alpha),
+        chi2_quantile(df, alpha) * (1.0 - 1e-12),
+        xtol=1e-300,
+    )
     return QuantilePair(a, b_of(a))
 
 

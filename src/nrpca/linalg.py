@@ -1,15 +1,15 @@
 """Dense matrix containers, column centering, the dual sample covariance,
-and a cyclic Jacobi eigensolver for small symmetric matrices.
+and the symmetric eigendecomposition used on it.
 
 Data matrices are d x n with samples as columns and d typically much
-larger than n; all eigenwork happens on the n x n dual covariance, so the
-Jacobi solver only ever sees small matrices where its determinism and
-high relative accuracy are worth more than LAPACK speed.
+larger than n; all eigenwork happens on the n x n dual covariance. The
+eigensolver is LAPACK's (`numpy.linalg.eigh`): the noise-reduction
+correction only uses differences of the trace and partial eigenvalue
+sums, for which a normwise backward-stable solver is accurate enough.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,15 +18,10 @@ __all__ = [
     "DataMatrix",
     "SymMatrix",
     "SpectralDecomposition",
-    "JacobiConvergenceError",
     "center_columns",
     "dual_covariance",
     "sym_eigen",
 ]
-
-
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the rotation sweep cap is hit before convergence."""
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -143,79 +138,15 @@ def _apply_sign_convention(vectors: np.ndarray) -> None:
             vectors[:, j] = -col
 
 
-_MAX_SWEEPS = 100
-
-
 def sym_eigen(a: SymMatrix) -> SpectralDecomposition:
-    """Full spectral decomposition by cyclic Jacobi rotations.
+    """Full spectral decomposition by LAPACK's symmetric solver (`eigh`).
 
-    Deterministic for identical input: fixed sweep order, stable
-    descending sort, and a fixed sign convention (largest-magnitude
-    eigenvector component positive). Ties keep the stable sort order.
-
-    Raises
-    ------
-    JacobiConvergenceError
-        If the off-diagonal mass has not vanished after 100 sweeps.
+    Eigenvalues come back in a stable descending sort, so ties keep
+    LAPACK's order, and each eigenvector column has its largest-magnitude
+    component positive.
     """
-    mat = a.values.copy()
-    m = mat.shape[0]
-    vecs = np.eye(m)
-    if m == 1:
-        return SpectralDecomposition(mat.diagonal().copy(), vecs)
-
-    frob = float(np.linalg.norm(mat))
-    tol = 1e-14 * max(1.0, frob)
-    # rotations below this can never push the off-norm back above tol
-    skip = tol / (2.0 * m * m)
-
-    off = np.sqrt(2.0) * float(np.linalg.norm(np.triu(mat, 1)))
-    for _ in range(_MAX_SWEEPS):
-        if off <= tol:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = mat[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app, aqq = mat[p, p], mat[q, q]
-                theta = 0.5 * (aqq - app) / apq
-                if abs(theta) > 1e150:
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-
-                col_p = mat[:, p].copy()
-                col_q = mat[:, q].copy()
-                mat[:, p] = col_p - s * (col_q + tau * col_p)
-                mat[:, q] = col_q + s * (col_p - tau * col_q)
-                mat[p, :] = mat[:, p]
-                mat[q, :] = mat[:, q]
-                mat[p, p] = app - t * apq
-                mat[q, q] = aqq + t * apq
-                mat[p, q] = 0.0
-                mat[q, p] = 0.0
-
-                vec_p = vecs[:, p].copy()
-                vec_q = vecs[:, q].copy()
-                vecs[:, p] = c * vec_p - s * vec_q
-                vecs[:, q] = s * vec_p + c * vec_q
-        off = np.sqrt(2.0) * float(np.linalg.norm(np.triu(mat, 1)))
-    else:
-        if off > tol:
-            raise JacobiConvergenceError(
-                f"Jacobi sweep cap ({_MAX_SWEEPS}) reached for a {m}x{m} "
-                f"matrix; residual off-diagonal norm {off:.3e} exceeds "
-                f"tolerance {tol:.3e}"
-            )
-
-    order = np.argsort(-mat.diagonal(), kind="stable")
-    eigenvalues = mat.diagonal()[order].copy()
-    eigenvectors = vecs[:, order].copy()
+    values, vectors = np.linalg.eigh(a.values)
+    order = np.argsort(-values, kind="stable")
+    eigenvectors = vectors[:, order]
     _apply_sign_convention(eigenvectors)
-    return SpectralDecomposition(eigenvalues, eigenvectors)
+    return SpectralDecomposition(values[order], eigenvectors)

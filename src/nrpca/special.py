@@ -1,19 +1,18 @@
 """Regularized incomplete gamma/beta functions and the chi-square / F
 distribution helpers built on them.
 
-Everything in this module is deterministic scalar math. The incomplete
-gamma uses the power series for x < s + 1 and a modified Lentz continued
-fraction otherwise; the incomplete beta uses the continued fraction with
-the symmetry switch at x = (a + 1)/(a + b + 2). Quantiles invert the CDFs
-with a safeguarded Newton iteration inside a bracket found by doubling,
-falling back to bisection whenever a Newton step misbehaves. Target
-accuracy is ~1e-13 absolute for the CDFs and |cdf(q) - p| <= 1e-10 for
-the quantiles, comfortably inside what the inference layer needs.
+Every function is an argument-checked scalar wrapper over `scipy.special`
+(Cephes), which computes complements and upper-tail inverses directly.
+Upper points are therefore inverted from the tail probability itself,
+never from 1 - alpha, so small alphas keep full relative accuracy. The
+densities and the normal CDF are closed forms.
 """
 
 from __future__ import annotations
 
 import math
+
+from scipy import special as sc
 
 __all__ = [
     "reg_gamma_p",
@@ -24,6 +23,7 @@ __all__ = [
     "chi2_sf",
     "chi2_pdf",
     "chi2_quantile",
+    "chi2_upper_point",
     "f_cdf",
     "f_pdf",
     "f_quantile",
@@ -31,10 +31,6 @@ __all__ = [
     "kolmogorov_sf",
     "ks_statistic",
 ]
-
-_MAX_ITER = 600
-_EPS = 1e-16
-_FPMIN = 1e-300
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -44,43 +40,33 @@ def _check_finite(name: str, value: float) -> float:
     return value
 
 
-def _gamma_series(s: float, x: float) -> float:
-    # power series for P(s, x), valid/fast when x < s + 1
-    term = 1.0 / s
-    total = term
-    denom = s
-    for _ in range(_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise RuntimeError(f"incomplete gamma series failed to converge at s={s}, x={x}")
+def _check_positive(name: str, value: float) -> float:
+    value = _check_finite(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
-def _gamma_contfrac(s: float, x: float) -> float:
-    # modified Lentz continued fraction for Q(s, x), x >= s + 1
-    b = x + 1.0 - s
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise RuntimeError(
-        f"incomplete gamma continued fraction failed to converge at s={s}, x={x}"
-    )
+def _check_f_dfs(d1: float, d2: float) -> tuple[float, float]:
+    d1 = _check_finite("d1", d1)
+    d2 = _check_finite("d2", d2)
+    if d1 <= 0.0 or d2 <= 0.0:
+        raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
+    return d1, d2
+
+
+def _check_nonnegative(x: float) -> float:
+    x = _check_finite("x", x)
+    if x < 0.0:
+        raise ValueError(f"x must be nonnegative, got {x}")
+    return x
+
+
+def _check_probability(name: str, p: float) -> float:
+    p = _check_finite(name, p)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1), got {p}")
+    return p
 
 
 def reg_gamma_p(s: float, x: float) -> float:
@@ -98,83 +84,20 @@ def reg_gamma_p(s: float, x: float) -> float:
     float
         P(s, x) in [0, 1], monotone nondecreasing in x.
     """
-    s = _check_finite("s", s)
-    x = _check_finite("x", x)
-    if s <= 0.0:
-        raise ValueError(f"shape s must be positive, got {s}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x < s + 1.0:
-        return min(1.0, _gamma_series(s, x))
-    return min(1.0, max(0.0, 1.0 - _gamma_contfrac(s, x)))
+    return float(sc.gammainc(_check_positive("shape s", s), _check_nonnegative(x)))
 
 
 def reg_gamma_q(s: float, x: float) -> float:
-    """Regularized upper incomplete gamma function Q(s, x) = 1 - P(s, x).
-
-    Computed directly from the continued fraction in the upper region so
-    small tail probabilities keep full relative accuracy.
-    """
-    s = _check_finite("s", s)
-    x = _check_finite("x", x)
-    if s <= 0.0:
-        raise ValueError(f"shape s must be positive, got {s}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < s + 1.0:
-        return min(1.0, max(0.0, 1.0 - _gamma_series(s, x)))
-    return min(1.0, _gamma_contfrac(s, x))
-
-
-def _beta_contfrac(a: float, b: float, x: float) -> float:
-    # continued fraction for the incomplete beta, modified Lentz
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise RuntimeError(
-        f"incomplete beta continued fraction failed to converge at a={a}, b={b}, x={x}"
-    )
+    """Regularized upper incomplete gamma function Q(s, x) = 1 - P(s, x),
+    computed directly so small tail probabilities keep full relative
+    accuracy."""
+    return float(sc.gammaincc(_check_positive("shape s", s), _check_nonnegative(x)))
 
 
 def reg_beta_i(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta function I_x(a, b).
 
-    Satisfies the symmetry I_x(a, b) = 1 - I_{1-x}(b, a); the continued
-    fraction is evaluated on whichever side of x = (a+1)/(a+b+2) converges
-    fast, so both orientations share the same accuracy.
+    Satisfies the symmetry I_x(a, b) = 1 - I_{1-x}(b, a).
     """
     a = _check_finite("a", a)
     b = _check_finite("b", b)
@@ -183,22 +106,7 @@ def reg_beta_i(a: float, b: float, x: float) -> float:
         raise ValueError(f"shapes must be positive, got a={a}, b={b}")
     if x < 0.0 or x > 1.0:
         raise ValueError(f"x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    front = math.exp(
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    if x < (a + 1.0) / (a + b + 2.0):
-        value = front * _beta_contfrac(a, b, x) / a
-    else:
-        value = 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
-    return min(1.0, max(0.0, value))
+    return float(sc.betainc(a, b, x))
 
 
 def std_normal_cdf(x: float) -> float:
@@ -209,31 +117,17 @@ def std_normal_cdf(x: float) -> float:
 
 def chi2_cdf(df: float, x: float) -> float:
     """Chi-square CDF with df degrees of freedom, df > 0."""
-    df = _check_finite("df", df)
-    if df <= 0.0:
-        raise ValueError(f"df must be positive, got {df}")
-    x = _check_finite("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return reg_gamma_p(0.5 * df, 0.5 * x)
+    return float(sc.chdtr(_check_positive("df", df), _check_nonnegative(x)))
 
 
 def chi2_sf(df: float, x: float) -> float:
     """Chi-square upper tail probability, accurate for large x."""
-    df = _check_finite("df", df)
-    if df <= 0.0:
-        raise ValueError(f"df must be positive, got {df}")
-    x = _check_finite("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return reg_gamma_q(0.5 * df, 0.5 * x)
+    return float(sc.chdtrc(_check_positive("df", df), _check_nonnegative(x)))
 
 
 def chi2_pdf(df: float, x: float) -> float:
     """Chi-square density; 0 at x = 0 for df > 2, as a limit elsewhere."""
-    df = _check_finite("df", df)
-    if df <= 0.0:
-        raise ValueError(f"df must be positive, got {df}")
+    df = _check_positive("df", df)
     x = _check_finite("x", x)
     if x < 0.0:
         return 0.0
@@ -249,83 +143,29 @@ def chi2_pdf(df: float, x: float) -> float:
     )
 
 
-def _invert_cdf(cdf, pdf, p: float, start: float, what: str) -> float:
-    """Safeguarded Newton inversion of a CDF over (0, inf).
-
-    The bracket is found by doubling/halving from `start`; Newton steps
-    that leave the bracket or stall are replaced by bisection. Iterates
-    until the composition error is ~1e-13 or the bracket collapses.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    lo, hi = 0.0, float(start)
-    for _ in range(_MAX_ITER):
-        if cdf(hi) >= p:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise RuntimeError(f"failed to bracket {what} quantile at p={p}")
-    if lo == 0.0 and hi > 1.0:
-        # tighten the lower edge so bisection starts from a sane interval
-        probe = hi / 2.0
-        while probe > 1e-300 and cdf(probe) > p:
-            hi = probe
-            probe /= 2.0
-        lo = probe if probe > 1e-300 else 0.0
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = cdf(x) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(f) <= 1e-13:
-            return x
-        slope = pdf(x)
-        step_ok = slope > 0.0 and math.isfinite(slope)
-        if step_ok:
-            x_new = x - f / slope
-            step_ok = lo < x_new < hi
-        if not step_ok:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x or hi - lo <= abs(x) * 1e-16:
-            return x
-        x = x_new
-    return x
-
-
 def chi2_quantile(df: float, p: float) -> float:
     """Lower-tail chi-square quantile: the q with chi2_cdf(df, q) = p."""
-    df = _check_finite("df", df)
-    if df <= 0.0:
-        raise ValueError(f"df must be positive, got {df}")
-    p = _check_finite("p", p)
-    return _invert_cdf(
-        lambda x: chi2_cdf(df, x), lambda x: chi2_pdf(df, x), p, max(df, 1.0), "chi2"
-    )
+    df = _check_positive("df", df)
+    p = _check_probability("probability", p)
+    return 2.0 * float(sc.gammaincinv(0.5 * df, p))
+
+
+def chi2_upper_point(df: float, alpha: float) -> float:
+    """Upper alpha point of the chi-square distribution: P(X > value) = alpha."""
+    df = _check_positive("df", df)
+    alpha = _check_probability("alpha", alpha)
+    return float(sc.chdtri(df, alpha))
 
 
 def f_cdf(d1: float, d2: float, x: float) -> float:
     """F distribution CDF with (d1, d2) degrees of freedom."""
-    d1 = _check_finite("d1", d1)
-    d2 = _check_finite("d2", d2)
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
-    x = _check_finite("x", x)
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if x == 0.0:
-        return 0.0
-    return reg_beta_i(0.5 * d1, 0.5 * d2, d1 * x / (d1 * x + d2))
+    d1, d2 = _check_f_dfs(d1, d2)
+    return float(sc.fdtr(d1, d2, _check_nonnegative(x)))
 
 
 def f_pdf(d1: float, d2: float, x: float) -> float:
     """F distribution density."""
-    d1 = _check_finite("d1", d1)
-    d2 = _check_finite("d2", d2)
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
+    d1, d2 = _check_f_dfs(d1, d2)
     x = _check_finite("x", x)
     if x <= 0.0:
         return 0.0
@@ -342,54 +182,25 @@ def f_pdf(d1: float, d2: float, x: float) -> float:
 
 def f_quantile(d1: float, d2: float, p: float) -> float:
     """Lower-tail F quantile: the q with f_cdf(d1, d2, q) = p."""
-    d1 = _check_finite("d1", d1)
-    d2 = _check_finite("d2", d2)
-    if d1 <= 0.0 or d2 <= 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got ({d1}, {d2})")
-    p = _check_finite("p", p)
-    return _invert_cdf(
-        lambda x: f_cdf(d1, d2, x), lambda x: f_pdf(d1, d2, x), p, 1.0, "F"
-    )
+    d1, d2 = _check_f_dfs(d1, d2)
+    p = _check_probability("probability", p)
+    return float(sc.fdtri(d1, d2, p))
 
 
 def f_upper_point(d1: float, d2: float, alpha: float) -> float:
-    """Upper alpha point of the F distribution: P(F > value) = alpha."""
-    alpha = _check_finite("alpha", alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return f_quantile(d1, d2, 1.0 - alpha)
+    """Upper alpha point of the F distribution: P(F > value) = alpha.
+
+    Computed as 1 / (lower alpha point of F(d2, d1)), which inverts the
+    tail probability alpha itself.
+    """
+    d1, d2 = _check_f_dfs(d1, d2)
+    alpha = _check_probability("alpha", alpha)
+    return 1.0 / float(sc.fdtri(d2, d1, alpha))
 
 
 def kolmogorov_sf(x: float) -> float:
-    """Survival function of the Kolmogorov distribution.
-
-    Uses the alternating series for x >= 1 and the Jacobi-theta form for
-    small x where the alternating series converges slowly.
-    """
-    x = _check_finite("x", x)
-    if x <= 0.0:
-        return 1.0
-    if x < 1.0:
-        # theta form of the CDF
-        factor = math.sqrt(2.0 * math.pi) / x
-        total = 0.0
-        for k in range(1, 40):
-            odd = 2 * k - 1
-            term = math.exp(-(odd * odd) * math.pi * math.pi / (8.0 * x * x))
-            total += term
-            if term < 1e-18:
-                break
-        return min(1.0, max(0.0, 1.0 - factor * total))
-    total = 0.0
-    for k in range(1, 200):
-        term = math.exp(-2.0 * k * k * x * x)
-        if k % 2 == 1:
-            total += term
-        else:
-            total -= term
-        if term < 1e-18:
-            break
-    return min(1.0, max(0.0, 2.0 * total))
+    """Survival function of the Kolmogorov distribution."""
+    return float(sc.kolmogorov(_check_finite("x", x)))
 
 
 def ks_statistic(values, cdf) -> float:

@@ -66,13 +66,21 @@ def test_optimal_ab_matches_scipy_root():
 
 
 def test_optimal_ab_defining_equations():
-    from scipy import stats
+    from scipy import special, stats
 
-    for df, alpha in [(9, 0.05), (19, 0.05), (23, 0.01), (40, 0.05)]:
+    # the small alphas down to the solver's 1e-6 floor are where
+    # chi2_cdf(a) + coverage once rounded to above 1
+    small = [
+        (df, alpha)
+        for df in range(2, 60)
+        for alpha in (5e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6)
+    ]
+    for df, alpha in [(9, 0.05), (19, 0.05), (23, 0.01), (40, 0.05)] + small:
         pair = optimal_ab(df, alpha)
         dist = stats.chi2(df)
-        coverage = dist.cdf(pair.b) - dist.cdf(pair.a)
-        assert coverage == pytest.approx(1.0 - alpha, abs=1e-8)
+        # coverage in tail form, so a small alpha keeps its digits
+        tails = special.chdtr(df, pair.a) + special.chdtrc(df, pair.b)
+        assert tails == pytest.approx(alpha, rel=1e-9)
         lhs = pair.a**2 * dist.pdf(pair.a)
         rhs = pair.b**2 * dist.pdf(pair.b)
         assert lhs == pytest.approx(rhs, rel=1e-6)

@@ -9,6 +9,7 @@ and the Kolmogorov tail via its alternating series.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from nrpca.special import (
     chi2_pdf,
     chi2_quantile,
     chi2_sf,
+    chi2_upper_point,
     f_cdf,
     f_pdf,
     f_quantile,
@@ -159,6 +161,10 @@ def test_chi2_domain_errors():
         chi2_quantile(3.0, 0.0)
     with pytest.raises(ValueError):
         chi2_quantile(3.0, 1.0)
+    with pytest.raises(ValueError):
+        chi2_upper_point(3.0, 0.0)
+    with pytest.raises(ValueError):
+        chi2_upper_point(0.0, 0.05)
 
 
 def test_f_cdf_frozen():
@@ -186,8 +192,32 @@ def test_f_quantile_frozen():
 
 
 def test_f_upper_point_matches_quantile():
-    assert f_upper_point(9.0, 19.0, 0.05) == f_quantile(9.0, 19.0, 0.95)
+    # the upper point inverts alpha itself and the quantile inverts
+    # 1 - alpha, so the two agree to rounding, not bit for bit
+    assert f_upper_point(9.0, 19.0, 0.05) == pytest.approx(
+        f_quantile(9.0, 19.0, 0.95), rel=1e-14
+    )
     assert abs(f_upper_point(9.0, 19.0, 0.05) - 2.4226989371239705544) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-4, 1e-6, 1e-9, 1e-12])
+def test_small_alpha_points_match_mpmath_tails(alpha):
+    # the tail mass at each returned point, evaluated at 50 digits, must
+    # give back alpha: small alphas are where inverting 1 - alpha fails
+    with mpmath.workdps(50):
+        for d1, d2 in [(9, 19), (19, 9)]:
+            x = mpmath.mpf(f_upper_point(d1, d2, alpha))
+            tail = mpmath.betainc(
+                d2 / 2, d1 / 2, 0, d2 / (d2 + d1 * x), regularized=True
+            )
+            assert float(tail) == pytest.approx(alpha, rel=1e-12)
+        for df in (1, 19):
+            lower = mpmath.mpf(chi2_quantile(df, alpha)) / 2
+            upper = mpmath.mpf(chi2_upper_point(df, alpha)) / 2
+            head = mpmath.gammainc(df / 2, 0, lower, regularized=True)
+            tail = mpmath.gammainc(df / 2, upper, mpmath.inf, regularized=True)
+            assert float(head) == pytest.approx(alpha, rel=1e-12)
+            assert float(tail) == pytest.approx(alpha, rel=1e-12)
 
 
 def test_f_pdf_positive_and_normalized():
