@@ -9,8 +9,9 @@ rows-as-variables; `--transpose` covers the other orientation and
 
 Output goes to stdout (or `--out`) as JSON, except `simulate`, which
 defaults to one CSV row per dimension. All randomness flows from
-`--seed` (default 1729); `--workers`, or the NRPCA_WORKERS environment
-variable when the flag is absent, changes wall time but never results.
+`--seed` (default 1729). `simulate --workers` changes wall time but never
+results; NRPCA_WORKERS applies to `simulate` only and sets the worker
+count when the flag is absent (`--workers`, then NRPCA_WORKERS, then 1).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from .dataio import load_matrix, standardize_rows
 from .estimators import NrEstimate, nr_estimate
@@ -36,83 +37,17 @@ from .inference import (
 from .linalg import DataMatrix
 from .simulation import run_estimation_mc, run_test_mc
 
-__all__ = ["DEFAULT_SEED", "WORKERS_ENV", "RunConfig", "main"]
+__all__ = ["DEFAULT_SEED", "WORKERS_ENV", "main"]
 
 DEFAULT_SEED = 1729
 WORKERS_ENV = "NRPCA_WORKERS"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated arguments for one command invocation."""
-
-    command: str
-    fmt: str = "json"
-    out: str | None = None
-    input: str | None = None
-    input2: str | None = None
-    standardize: bool = False
-    transpose: bool = False
-    alpha: float = 0.05
-    alternative: str = "two-sided"
-    mode: str = "f1"
-    lambda_tilde: float | None = None
-    kappa: float | None = None
-    n_override: int | None = None
-    study: str = "pc"
-    model: str = "a"
-    d_values: tuple[int, ...] = ()
-    n: int = 10
-    n1: int = 10
-    n2: int = 20
-    reps: int | None = None
-    seed: int = DEFAULT_SEED
-    workers: int = 1
-    nu1: int | None = None
-    nu2: int | None = None
-    ratio: float | None = None
-    h: float = 1.0
-    gamma: float = 1.0
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = {
-            name: getattr(args, name)
-            for name in cls.__dataclass_fields__
-            if hasattr(args, name)
-        }
-        workers = fields.get("workers")
-        if workers is None:
-            workers = int(os.environ.get(WORKERS_ENV, "1"))
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers}")
-        fields["workers"] = workers
-        cfg = cls(**fields)
-        if cfg.command == "ci":
-            have_summary = (
-                cfg.lambda_tilde is not None
-                and cfg.kappa is not None
-                and cfg.n_override is not None
-            )
-            if cfg.input is None and not have_summary:
-                raise ValueError(
-                    "ci needs either --input or all of "
-                    "--lambda-tilde, --kappa and --n"
-                )
-            if cfg.input is not None and have_summary:
-                raise ValueError("ci takes --input or summary numbers, not both")
-        if cfg.command == "test" and cfg.mode != "f1" and cfg.alternative != "two-sided":
-            raise ValueError(
-                f"mode {cfg.mode} supports only the two-sided alternative"
-            )
-        return cfg
-
-
-def _prepared_matrix(path: str, cfg: RunConfig) -> DataMatrix:
+def _prepared_matrix(path: str, args: argparse.Namespace) -> DataMatrix:
     matrix = load_matrix(path)
-    if cfg.transpose:
+    if args.transpose:
         matrix = DataMatrix(matrix.values.T.copy())
-    if cfg.standardize:
+    if args.standardize:
         matrix = standardize_rows(matrix)
     return matrix
 
@@ -147,10 +82,10 @@ def _render(payload, fmt: str) -> str:
     return buffer.getvalue()
 
 
-def _emit(payload, cfg: RunConfig) -> None:
-    text = _render(payload, cfg.fmt)
-    if cfg.out:
-        with open(cfg.out, "w") as handle:
+def _emit(payload, args: argparse.Namespace) -> None:
+    text = _render(payload, args.fmt)
+    if args.out:
+        with open(args.out, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
@@ -174,91 +109,105 @@ def _estimate_record(est: NrEstimate) -> dict:
     }
 
 
-def _cmd_estimate(cfg: RunConfig) -> None:
-    est = nr_estimate(_prepared_matrix(cfg.input, cfg))
-    _emit(_estimate_record(est), cfg)
+def _cmd_estimate(args: argparse.Namespace) -> None:
+    est = nr_estimate(_prepared_matrix(args.input, args))
+    _emit(_estimate_record(est), args)
 
 
-def _cmd_ci(cfg: RunConfig) -> None:
-    if cfg.input is not None:
-        est = nr_estimate(_prepared_matrix(cfg.input, cfg))
+def _cmd_ci(args: argparse.Namespace) -> None:
+    have_summary = None not in (args.lambda_tilde, args.kappa, args.n_override)
+    if args.input is None and not have_summary:
+        raise ValueError(
+            "ci needs either --input or all of --lambda-tilde, --kappa and --n"
+        )
+    if args.input is not None and have_summary:
+        raise ValueError("ci takes --input or summary numbers, not both")
+    if args.input is not None:
+        est = nr_estimate(_prepared_matrix(args.input, args))
         lt1 = float(est.lambda_tilde[0])
         kappa = est.kappa_tilde
         n = est.n
     else:
-        lt1, kappa, n = cfg.lambda_tilde, cfg.kappa, cfg.n_override
-    result = contribution_ci(lt1, kappa, n, cfg.alpha)
+        lt1, kappa, n = args.lambda_tilde, args.kappa, args.n_override
+    result = contribution_ci(lt1, kappa, n, args.alpha)
     record = {"lambda_tilde_1": lt1, "kappa_tilde": kappa, "n": n}
     record.update(asdict(result))
-    _emit(record, cfg)
+    _emit(record, args)
 
 
-def _cmd_test(cfg: RunConfig) -> None:
-    est1 = nr_estimate(_prepared_matrix(cfg.input, cfg))
-    est2 = nr_estimate(_prepared_matrix(cfg.input2, cfg))
-    if cfg.mode == "f1":
+def _cmd_test(args: argparse.Namespace) -> None:
+    if args.mode != "f1" and args.alternative != "two-sided":
+        raise ValueError(
+            f"mode {args.mode} supports only the two-sided alternative"
+        )
+    est1 = nr_estimate(_prepared_matrix(args.input, args))
+    est2 = nr_estimate(_prepared_matrix(args.input2, args))
+    if args.mode == "f1":
         outcome = test_f1(
             float(est1.lambda_tilde[0]),
             float(est2.lambda_tilde[0]),
             est1.n,
             est2.n,
-            cfg.alpha,
-            cfg.alternative,
+            args.alpha,
+            args.alternative,
         )
-    elif cfg.mode == "f2":
-        outcome = test_f2(est1, est2, cfg.alpha)
+    elif args.mode == "f2":
+        outcome = test_f2(est1, est2, args.alpha)
     else:
-        outcome = test_f3(est1, est2, cfg.alpha)
-    record = {"mode": cfg.mode}
+        outcome = test_f3(est1, est2, args.alpha)
+    record = {"mode": args.mode}
     record.update(asdict(outcome))
     record["components"] = {
         k: v for k, v in record["components"].items() if v is not None
     }
-    _emit(record, cfg)
+    _emit(record, args)
 
 
-def _cmd_simulate(cfg: RunConfig) -> None:
-    if cfg.study == "pc":
+def _cmd_simulate(args: argparse.Namespace) -> None:
+    if args.workers < 1:
+        raise ValueError(f"workers must be at least 1, got {args.workers}")
+    reps = {} if args.reps is None else {"reps": args.reps}
+    if args.study == "pc":
         summary = run_estimation_mc(
-            cfg.model,
-            list(cfg.d_values),
-            n=cfg.n,
-            reps=2000 if cfg.reps is None else cfg.reps,
-            seed=cfg.seed,
-            workers=cfg.workers,
+            args.model,
+            args.d_values,
+            n=args.n,
+            seed=args.seed,
+            workers=args.workers,
+            **reps,
         )
     else:
         summary = run_test_mc(
-            list(cfg.d_values),
-            n1=cfg.n1,
-            n2=cfg.n2,
-            reps=4000 if cfg.reps is None else cfg.reps,
-            alpha=cfg.alpha,
-            seed=cfg.seed,
-            workers=cfg.workers,
+            args.d_values,
+            n1=args.n1,
+            n2=args.n2,
+            alpha=args.alpha,
+            seed=args.seed,
+            workers=args.workers,
+            **reps,
         )
     payload = {
         "study": summary.study,
         "seed": summary.seed,
         "rows": summary.as_records(),
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
 
 
-def _cmd_power(cfg: RunConfig) -> None:
+def _cmd_power(args: argparse.Namespace) -> None:
     record = {
-        "nu1": cfg.nu1,
-        "nu2": cfg.nu2,
-        "lambda_ratio": cfg.ratio,
-        "h": cfg.h,
-        "gamma": cfg.gamma,
-        "alpha": cfg.alpha,
+        "nu1": args.nu1,
+        "nu2": args.nu2,
+        "lambda_ratio": args.ratio,
+        "h": args.h,
+        "gamma": args.gamma,
+        "alpha": args.alpha,
     }
     for which in ("f1", "f2", "f3"):
         record[which] = asymptotic_power(
-            cfg.nu1, cfg.nu2, cfg.ratio, cfg.h, cfg.gamma, cfg.alpha, which
+            args.nu1, args.nu2, args.ratio, args.h, args.gamma, args.alpha, which
         )
-    _emit(record, cfg)
+    _emit(record, args)
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, default_fmt: str) -> None:
@@ -303,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--input", required=True, help="CSV matrix path")
     _add_matrix_flags(p_est)
     _add_output_flags(p_est, "json")
+    p_est.set_defaults(handler=_cmd_estimate)
 
     p_ci = sub.add_parser("ci", help="contribution-ratio confidence interval")
     p_ci.add_argument("--input", default=None, help="CSV matrix path")
@@ -312,6 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ci.add_argument("--alpha", type=float, default=0.05)
     _add_matrix_flags(p_ci)
     _add_output_flags(p_ci, "json")
+    p_ci.set_defaults(handler=_cmd_ci)
 
     p_test = sub.add_parser("test", help="two-sample covariance equality test")
     p_test.add_argument("--input", "--input1", dest="input", required=True)
@@ -323,6 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--alpha", type=float, default=0.05)
     _add_matrix_flags(p_test)
     _add_output_flags(p_test, "json")
+    p_test.set_defaults(handler=_cmd_test)
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo harness")
     p_sim.add_argument("--study", choices=("pc", "tests"), default="pc")
@@ -344,10 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=int, default=os.environ.get(WORKERS_ENV, 1),
         help=f"process count; default ${WORKERS_ENV} or 1",
     )
     _add_output_flags(p_sim, "csv")
+    p_sim.set_defaults(handler=_cmd_simulate)
 
     p_pow = sub.add_parser("power", help="asymptotic power of the three tests")
     p_pow.add_argument("--nu1", type=int, required=True)
@@ -358,24 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow.add_argument("--gamma", type=float, default=1.0)
     p_pow.add_argument("--alpha", type=float, default=0.05)
     _add_output_flags(p_pow, "json")
+    p_pow.set_defaults(handler=_cmd_power)
 
     return parser
-
-
-_HANDLERS = {
-    "estimate": _cmd_estimate,
-    "ci": _cmd_ci,
-    "test": _cmd_test,
-    "simulate": _cmd_simulate,
-    "power": _cmd_power,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        _HANDLERS[cfg.command](cfg)
+        args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

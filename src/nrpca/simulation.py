@@ -9,9 +9,10 @@ null and differ by a known eigenvalue ratio, direction rotation, and
 tail-mass factor under the alternative.
 
 Replications are embarrassingly parallel. Each replication draws from
-its own counter-based substream keyed by (seed, d, replication, arm),
-and results land in per-replication slots before aggregation, so a run
-is byte-identical for any worker count.
+its own counter-based substream keyed by (seed, d, replication, arm).
+A study maps every (d, replication) pair through one ordered `map`,
+the builtin one or a single process pool's, so results come back in
+submission order and a run is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.signal import lfilter
@@ -340,7 +341,7 @@ _ESTIMATION_METRICS = (
 
 
 def _estimation_rep(
-    model: str, d: int, n: int, seed: Seed, rep: int
+    model: str, n: int, seed: Seed, d: int, rep: int
 ) -> tuple[float, ...]:
     rng = make_stream(seed, d, rep, 0)
     draw = gen_spiked(SpikeScenario(model=model, d=d, n=n, seed=seed), rng)
@@ -356,56 +357,42 @@ def _estimation_rep(
     )
 
 
-def _estimation_chunk(args: tuple) -> list[tuple[int, tuple[float, ...]]]:
-    model, d, n, seed, start, stop = args
-    return [
-        (rep, _estimation_rep(model, d, n, seed, rep))
-        for rep in range(start, stop)
-    ]
-
-
 def _test_rep(
-    d: int, n1: int, n2: int, alpha: float, seed: Seed, rep: int, arm: int
-) -> tuple[tuple[float, float, float], tuple[bool, bool, bool]]:
-    rng = make_stream(seed, d, rep, arm)
-    scenario = TwoSampleScenario(
-        hypothesis="Ha" if arm else "H0", d=d, n1=n1, n2=n2, seed=seed
-    )
-    draw = gen_two_sample(scenario, rng)
-    est1 = nr_estimate(draw.x1)
-    est2 = nr_estimate(draw.x2)
-    o1 = test_f1(
-        float(est1.lambda_tilde[0]), float(est2.lambda_tilde[0]), n1, n2, alpha
-    )
-    o2 = test_f2(est1, est2, alpha)
-    o3 = test_f3(est1, est2, alpha)
-    return (
-        (o1.statistic, o2.statistic, o3.statistic),
-        (o1.reject_null, o2.reject_null, o3.reject_null),
-    )
+    n1: int, n2: int, alpha: float, seed: Seed, d: int, rep: int
+) -> tuple[float, ...]:
+    """Null arm then alternative arm, each as the F1/F2/F3 statistics
+    followed by their rejections."""
+    out: list[float] = []
+    for arm in (0, 1):
+        rng = make_stream(seed, d, rep, arm)
+        scenario = TwoSampleScenario(
+            hypothesis="Ha" if arm else "H0", d=d, n1=n1, n2=n2, seed=seed
+        )
+        draw = gen_two_sample(scenario, rng)
+        est1 = nr_estimate(draw.x1)
+        est2 = nr_estimate(draw.x2)
+        o1 = test_f1(
+            float(est1.lambda_tilde[0]), float(est2.lambda_tilde[0]), n1, n2, alpha
+        )
+        o2 = test_f2(est1, est2, alpha)
+        o3 = test_f3(est1, est2, alpha)
+        out += (o1.statistic, o2.statistic, o3.statistic)
+        out += (o1.reject_null, o2.reject_null, o3.reject_null)
+    return tuple(out)
 
 
-def _test_chunk(args: tuple) -> list[tuple[int, int, tuple, tuple]]:
-    d, n1, n2, alpha, seed, start, stop = args
-    out = []
-    for rep in range(start, stop):
-        for arm in (0, 1):
-            stats, rejects = _test_rep(d, n1, n2, alpha, seed, rep, arm)
-            out.append((rep, arm, stats, rejects))
-    return out
-
-
-def _chunk_bounds(total: int, pieces: int) -> list[tuple[int, int]]:
-    pieces = max(1, min(pieces, total))
-    step = -(-total // pieces)
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _run_chunks(chunk_fn, jobs: list[tuple], workers: int) -> list[list]:
+def _map_reps(rep_fn, d_list: list[int], reps: int, workers: int) -> np.ndarray:
+    """rep_fn(d, rep) for every (d, rep), in submission order, as an
+    array of shape (len(d_list), reps, k)."""
+    ds = [d for d in d_list for _ in range(reps)]
+    rs = [rep for _ in d_list for rep in range(reps)]
     if workers <= 1:
-        return [chunk_fn(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, jobs))
+        results = list(map(rep_fn, ds, rs))
+    else:
+        chunksize = -(-len(ds) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(rep_fn, ds, rs, chunksize=chunksize))
+    return np.array(results, dtype=np.float64).reshape(len(d_list), reps, -1)
 
 
 def _mean_var_se(values: np.ndarray) -> tuple[float, float, float]:
@@ -438,31 +425,23 @@ def run_estimation_mc(
     if not d_list:
         raise ValueError("d_values must be nonempty")
     seed = int(seed)
-    rows = []
-    samples: dict = {}
     for d in d_list:
         SpikeScenario(model=model, d=d, n=n, seed=seed)  # validate early
-        jobs = [
-            (model, d, n, seed, lo, hi)
-            for lo, hi in _chunk_bounds(reps, 4 * max(1, workers))
-        ]
-        slots = np.empty((reps, len(_ESTIMATION_METRICS)))
-        for chunk in _run_chunks(_estimation_chunk, jobs, workers):
-            for rep, metrics in chunk:
-                slots[rep] = metrics
-        stats = {
-            name: _mean_var_se(slots[:, j])
-            for j, name in enumerate(_ESTIMATION_METRICS)
-        }
+    values = _map_reps(
+        partial(_estimation_rep, model, n, seed), d_list, reps, workers
+    )
+    rows = []
+    samples: dict = {}
+    for d, by_rep in zip(d_list, values):
         fields: dict = {"model": model, "d": d, "n": n, "reps": reps}
-        for name, (mean, var, se) in stats.items():
+        for j, name in enumerate(_ESTIMATION_METRICS):
+            mean, var, se = _mean_var_se(by_rep[:, j])
             fields[f"{name}_mean"] = mean
             fields[f"{name}_var"] = var
             fields[f"{name}_se"] = se
+            if keep_samples:
+                samples[(d, name)] = by_rep[:, j].copy()
         rows.append(EstimationRow(**fields))
-        if keep_samples:
-            for j, name in enumerate(_ESTIMATION_METRICS):
-                samples[(d, name)] = slots[:, j].copy()
     return McSummary(
         study="estimation",
         seed=seed,
@@ -500,20 +479,16 @@ def run_test_mc(
     seed = int(seed)
     half = reps // 2
     names = ("f1", "f2", "f3")
-    rows = []
-    samples: dict = {}
     for d in d_list:
         TwoSampleScenario(hypothesis="H0", d=d, n1=n1, n2=n2, seed=seed)
-        jobs = [
-            (d, n1, n2, alpha, seed, lo, hi)
-            for lo, hi in _chunk_bounds(half, 4 * max(1, workers))
-        ]
-        stat_slots = np.empty((2, half, 3))
-        reject_slots = np.empty((2, half, 3))
-        for chunk in _run_chunks(_test_chunk, jobs, workers):
-            for rep, arm, stats, rejects in chunk:
-                stat_slots[arm, rep] = stats
-                reject_slots[arm, rep] = rejects
+    values = _map_reps(
+        partial(_test_rep, n1, n2, alpha, seed), d_list, half, workers
+    )
+    rows = []
+    samples: dict = {}
+    for d, by_rep in zip(d_list, values):
+        # axes: replication, arm (null, alternative), statistic/rejection, test
+        arms = by_rep.reshape(half, 2, 2, 3)
         fields: dict = {
             "d": d,
             "n1": n1,
@@ -522,19 +497,18 @@ def run_test_mc(
             "reps": reps,
         }
         for j, name in enumerate(names):
-            size = float(np.mean(reject_slots[0, :, j]))
-            power = float(np.mean(reject_slots[1, :, j]))
+            size = float(np.mean(arms[:, 0, 1, j]))
+            power = float(np.mean(arms[:, 1, 1, j]))
             fields[f"size_{name}"] = size
             fields[f"power_{name}"] = power
             fields[f"size_se_{name}"] = math.sqrt(size * (1.0 - size) / half)
             fields[f"power_se_{name}"] = math.sqrt(
                 power * (1.0 - power) / half
             )
+            if keep_samples:
+                samples[(d, f"{name}_null")] = arms[:, 0, 0, j].copy()
+                samples[(d, f"{name}_alt")] = arms[:, 1, 0, j].copy()
         rows.append(TestRow(**fields))
-        if keep_samples:
-            for j, name in enumerate(names):
-                samples[(d, f"{name}_null")] = stat_slots[0, :, j].copy()
-                samples[(d, f"{name}_alt")] = stat_slots[1, :, j].copy()
     return McSummary(
         study="tests",
         seed=seed,

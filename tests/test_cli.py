@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nrpca.cli import DEFAULT_SEED, RunConfig, WORKERS_ENV, build_parser, main
+from nrpca.cli import DEFAULT_SEED, WORKERS_ENV, build_parser, main
 from nrpca.dataio import save_matrix
 from nrpca.inference import contribution_ci
 from nrpca.sampling import make_stream
@@ -265,14 +265,58 @@ def test_power_command_null_is_level(capsys):
 def test_workers_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "3")
     args = build_parser().parse_args(["simulate", "--d", "8"])
-    assert RunConfig.from_args(args).workers == 3
+    assert args.workers == 3
 
     args = build_parser().parse_args(["simulate", "--d", "8", "--workers", "1"])
-    assert RunConfig.from_args(args).workers == 1
+    assert args.workers == 1
 
     monkeypatch.delenv(WORKERS_ENV)
     args = build_parser().parse_args(["simulate", "--d", "8"])
-    assert RunConfig.from_args(args).workers == 1
+    assert args.workers == 1
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_workers_environment_ignored_outside_simulate(capsys, monkeypatch, value):
+    monkeypatch.setenv(WORKERS_ENV, value)
+    code, out, err = _run(
+        capsys, ["ci", "--lambda-tilde", "2717", "--kappa", "9865", "--n", "20"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["df"] == 19
+    code, out, err = _run(
+        capsys, ["power", "--nu1", "9", "--nu2", "19", "--ratio", "1"]
+    )
+    assert code == 0, err
+    assert json.loads(out)["f1"] == pytest.approx(0.05, abs=1e-12)
+
+
+_TINY_SIMULATION = ["simulate", "--study", "tests", "--d", "8", "--R", "4"]
+
+
+def test_simulate_rejects_zero_workers(capsys, monkeypatch):
+    monkeypatch.delenv(WORKERS_ENV, raising=False)
+    code, out, err = _run(capsys, _TINY_SIMULATION + ["--workers", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+    monkeypatch.setenv(WORKERS_ENV, "0")
+    code, out, err = _run(capsys, _TINY_SIMULATION)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_simulate_rejects_non_integer_workers_environment(capsys, monkeypatch):
+    # argparse converts the string default and reports a bad value by
+    # exiting with status 2 and naming the option.
+    monkeypatch.setenv(WORKERS_ENV, "abc")
+    with pytest.raises(SystemExit) as exit_info:
+        main(_TINY_SIMULATION)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--workers" in captured.err
 
 
 def test_default_seed_is_pinned():

@@ -230,10 +230,27 @@ def test_run_estimation_mc_deterministic():
     assert a.as_records() != c.as_records()
 
 
-def test_run_estimation_mc_worker_count_invariant():
-    a = run_estimation_mc("b", [8], n=10, reps=8, seed=2, workers=1)
-    b = run_estimation_mc("b", [8], n=10, reps=8, seed=2, workers=2)
+def _assert_same_summary(a, b):
     assert a.as_records() == b.as_records()
+    assert list(a.samples) == list(b.samples)
+    for key, values in a.samples.items():
+        assert values.tobytes() == b.samples[key].tobytes()
+
+
+def test_run_estimation_mc_worker_count_invariant():
+    # one and several dimensions, and fewer replications than workers
+    for d_values, reps, workers in (
+        ([8], 8, 2), ([8, 16, 32], 8, 2), ([8, 16, 32], 3, 8)
+    ):
+        a = run_estimation_mc(
+            "b", d_values, n=10, reps=reps, seed=2, workers=1,
+            keep_samples=True,
+        )
+        b = run_estimation_mc(
+            "b", d_values, n=10, reps=reps, seed=2, workers=workers,
+            keep_samples=True,
+        )
+        _assert_same_summary(a, b)
 
 
 def test_run_estimation_mc_keep_samples_shapes():
@@ -290,3 +307,19 @@ def test_run_test_mc_deterministic_and_samples():
         "f3_alt",
     }
     assert np.all(a.samples[(8, "f1_null")] > 0)
+
+
+def test_run_test_mc_worker_count_invariant():
+    # reps=6 leaves 3 replications per arm for 8 workers
+    for d_values, reps, workers in (
+        ([8], 8, 2), ([8, 16, 32], 8, 2), ([8, 16, 32], 6, 8)
+    ):
+        a = run_test_mc(
+            d_values, n1=5, n2=6, reps=reps, seed=21, workers=1,
+            keep_samples=True,
+        )
+        b = run_test_mc(
+            d_values, n1=5, n2=6, reps=reps, seed=21, workers=workers,
+            keep_samples=True,
+        )
+        _assert_same_summary(a, b)
