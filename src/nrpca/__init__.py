@@ -5,6 +5,12 @@ each dual-covariance eigenvalue, removing the upward bias that dominates
 when variables vastly outnumber samples. On top of it sit a confidence
 interval for the first contribution ratio, three F-based equality tests
 for two covariance spectra, and a deterministic Monte Carlo harness.
+
+Importing the package loads numpy and scipy.special only. The Monte
+Carlo names (`run_estimation_mc`, `gen_ar1`, ... from `simulation`)
+resolve on first access, and `optimal_ab` imports scipy.optimize on its
+first call, so `import nrpca` and the non-simulating CLI commands start
+without scipy.signal and scipy.optimize.
 """
 
 from .dataio import load_matrix, save_matrix, standardize_rows
@@ -44,18 +50,21 @@ from .linalg import (
     sym_eigen,
 )
 from .sampling import derive_key, make_stream, splitmix64
-from .simulation import (
-    EstimationRow,
-    McSummary,
-    SpikeScenario,
-    TestRow,
-    TwoSampleScenario,
-    gen_ar1,
-    gen_spiked,
-    gen_two_sample,
-    run_estimation_mc,
-    run_test_mc,
-    spike_eigenvalues,
+# resolved by __getattr__ on first access (PEP 562)
+_SIMULATION_NAMES = frozenset(
+    {
+        "EstimationRow",
+        "McSummary",
+        "SpikeScenario",
+        "TestRow",
+        "TwoSampleScenario",
+        "gen_ar1",
+        "gen_spiked",
+        "gen_two_sample",
+        "run_estimation_mc",
+        "run_test_mc",
+        "spike_eigenvalues",
+    }
 )
 
 __version__ = "0.1.0"
@@ -109,3 +118,11 @@ __all__ = [
     "run_test_mc",
     "spike_eigenvalues",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SIMULATION_NAMES:
+        from . import simulation
+
+        return getattr(simulation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

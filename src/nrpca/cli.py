@@ -35,7 +35,6 @@ from .inference import (
     test_f3,
 )
 from .linalg import DataMatrix
-from .simulation import run_estimation_mc, run_test_mc
 
 __all__ = ["DEFAULT_SEED", "WORKERS_ENV", "main"]
 
@@ -164,6 +163,8 @@ def _cmd_test(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
+    from .simulation import run_estimation_mc, run_test_mc  # loads scipy.signal
+
     if args.workers < 1:
         raise ValueError(f"workers must be at least 1, got {args.workers}")
     reps = {} if args.reps is None else {"reps": args.reps}

@@ -1,16 +1,29 @@
 """CSV ingestion and per-variable standardization.
 
 Matrices are stored rows-as-variables, columns-as-samples. The loader
-auto-detects an optional header row and an optional row-label column by
-looking for non-numeric cells, and reports parse problems with their
-line numbers. Saving uses 17 significant digits so a save/load round
-trip reproduces every float bit for bit.
+skips blank lines, auto-detects an optional header row and an optional
+row-label column by looking for non-numeric cells, and reports ragged
+rows, non-numeric and non-finite cells with their file line and column.
+
+Cells are split on commas, with double quotes around a cell removed,
+and a data cell must be a decimal float: optional sign, ASCII digits,
+an optional decimal point and exponent, with surrounding whitespace
+allowed. `inf` and `nan` parse but are rejected as non-finite. Python's
+`float()` extras (underscores between digits, non-ASCII digits) are not
+numbers. numpy's C tokenizer, with the settings in `_SPLIT`, and its
+float parser decide blank lines, row widths, the header and label
+layout, the values and the error positions alike, so these never
+disagree. A quoted cell cannot span lines.
+
+Saving uses 17 significant digits so a save/load round trip reproduces
+every float bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import string
 
 import numpy as np
 
@@ -18,12 +31,80 @@ from .linalg import DataMatrix
 
 __all__ = ["load_matrix", "save_matrix", "standardize_rows"]
 
+# how `np.loadtxt` splits a line into cells
+_SPLIT = {"delimiter": ",", "quotechar": '"', "comments": None}
+# a line made only of these holds no cell with content unless a quoted
+# cell keeps a comma or a quote mark, which `_cells` tells apart
+_FILLER = string.whitespace + ',"'
+# rows re-parsed at once while looking for the first bad row
+_BLOCK = 1024
 
-def _parse_cell(cell: str) -> float | None:
+
+def _parse(lines: list[str], cols) -> np.ndarray:
+    """Columns `cols` of `lines` as a float64 matrix, or ValueError."""
+    return np.loadtxt(lines, dtype=np.float64, usecols=cols, ndmin=2, **_SPLIT)
+
+
+def _parses(lines: list[str], cols) -> bool:
     try:
-        return float(cell)
+        _parse(lines, cols)
     except ValueError:
-        return None
+        return False
+    return True
+
+
+def _cells(line: str) -> list[str]:
+    """The cells of one line, split and unquoted as `_parse` splits them."""
+    cells = np.loadtxt([line], dtype=object, ndmin=1, **_SPLIT)
+    return [cell.strip() for cell in cells.tolist()]
+
+
+def _all_split_into(width: int, lines: list[str]) -> bool:
+    """Whether every line has `width` cells as `_parse` splits them."""
+    try:
+        # one-character cells: only the shape is used
+        cells = np.loadtxt(lines, dtype="U1", ndmin=2, **_SPLIT)
+    except ValueError:
+        return False
+    return cells.shape[1] == width
+
+
+def _ragged(path: str, lineno: int, width: int, found: int) -> ValueError:
+    return ValueError(
+        f"{path}: line {lineno}: expected {width} columns, found {found}"
+    )
+
+
+def _raise_first_bad_cell(
+    path: str, lines: list[str], linenos: list[int], start: int, cols, width: int
+) -> None:
+    """Raise the error for the first ragged, non-numeric or non-finite
+    cell of lines[start:], found by re-parsing blocks, then one line,
+    then one cell at a time with `_parse`. Returns if none is found."""
+    for lo in range(start, len(lines), _BLOCK):
+        block = lines[lo : lo + _BLOCK]
+        try:
+            if np.isfinite(_parse(block, cols)).all():
+                continue
+        except ValueError:
+            pass
+        for line, lineno in zip(block, linenos[lo:]):
+            cells = _cells(line)
+            if len(cells) != width:
+                raise _ragged(path, lineno, width, len(cells))
+            for j in cols:
+                try:
+                    value = _parse([line], [j])[0, 0]
+                except ValueError:
+                    kind = "non-numeric"
+                else:
+                    if math.isfinite(value):
+                        continue
+                    kind = "non-finite"
+                raise ValueError(
+                    f"{path}: line {lineno}, column {j + 1}: "
+                    f"{kind} value {cells[j]!r}"
+                )
 
 
 def load_matrix(path: str) -> DataMatrix:
@@ -34,34 +115,35 @@ def load_matrix(path: str) -> DataMatrix:
     data cells, non-finite values, and fewer than 3 sample columns are
     errors naming the offending line.
     """
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="") as handle:
-        for lineno, cells in enumerate(csv.reader(handle), start=1):
-            if not cells or all(not c.strip() for c in cells):
-                continue  # blank line
-            rows.append((lineno, [c.strip() for c in cells]))
-    if not rows:
+    with open(path) as handle:
+        lines = handle.readlines()
+    keep = [
+        k
+        for k, line in enumerate(lines)
+        if line.strip(_FILLER) or (line.strip() and any(_cells(line)))
+    ]
+    if not keep:
         raise ValueError(f"{path}: no data rows found")
+    lines = [lines[k] for k in keep]
+    linenos = [k + 1 for k in keep]
 
-    width = len(rows[0][1])
-    for lineno, cells in rows:
-        if len(cells) != width:
-            raise ValueError(
-                f"{path}: line {lineno}: expected {width} columns, "
-                f"found {len(cells)}"
-            )
+    width = len(_cells(lines[0]))
+    odd = [k for k, line in enumerate(lines) if line.count(",") != width - 1]
+    # a quoted cell may hold a comma: split the odd lines with the
+    # tokenizer, all at once, and one by one only to name a ragged line
+    if odd and not _all_split_into(width, [lines[k] for k in odd]):
+        for k in odd:
+            found = len(_cells(lines[k]))
+            if found != width:
+                raise _ragged(path, linenos[k], width, found)
 
     # label column: any non-numeric first cell below the first row
-    label_col = len(rows) > 1 and any(
-        _parse_cell(cells[0]) is None for _, cells in rows[1:]
-    )
+    label_col = len(lines) > 1 and not _parses(lines[1:], [0])
     first_data_col = 1 if label_col else 0
-    header_row = any(
-        _parse_cell(c) is None for c in rows[0][1][first_data_col:]
-    )
+    cols = range(first_data_col, width)
+    start = 0 if _parses(lines[:1], cols) else 1  # 1: a header row
 
-    data_rows = rows[1:] if header_row else rows
-    if not data_rows:
+    if start == len(lines):
         raise ValueError(f"{path}: no data rows below the header")
     n = width - first_data_col
     if n < 3:
@@ -69,21 +151,13 @@ def load_matrix(path: str) -> DataMatrix:
             f"{path}: need at least 3 data columns (samples), found {n}"
         )
 
-    values = np.empty((len(data_rows), n), dtype=np.float64)
-    for i, (lineno, cells) in enumerate(data_rows):
-        for j, cell in enumerate(cells[first_data_col:]):
-            parsed = _parse_cell(cell)
-            if parsed is None:
-                raise ValueError(
-                    f"{path}: line {lineno}, column {first_data_col + j + 1}: "
-                    f"non-numeric value {cell!r}"
-                )
-            if not math.isfinite(parsed):
-                raise ValueError(
-                    f"{path}: line {lineno}, column {first_data_col + j + 1}: "
-                    f"non-finite value {cell!r}"
-                )
-            values[i, j] = parsed
+    try:
+        values = _parse(lines[start:], cols)
+    except ValueError:
+        _raise_first_bad_cell(path, lines, linenos, start, cols, width)
+        raise
+    if not np.isfinite(values).all():
+        _raise_first_bad_cell(path, lines, linenos, start, cols, width)
     return DataMatrix(values)
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import optimize
 
 from .estimators import DegenerateSpectrumError, NrEstimate
 from .special import (
@@ -138,6 +137,8 @@ def optimal_ab(df: int, alpha: float) -> QuantilePair:
     if alpha < 1e-6:
         raise ValueError(f"alpha={alpha} is below the solver bracket (1e-6)")
 
+    from scipy.optimize import brentq  # imported here to keep startup cheap
+
     def b_of(a: float) -> float:
         return chi2_upper_point(df, alpha - chi2_cdf(df, a))
 
@@ -148,7 +149,7 @@ def optimal_ab(df: int, alpha: float) -> QuantilePair:
     # a falls to ~1e-6 for small df and alpha, where brentq's default
     # absolute xtol (2e-12) would stop far from the root; converge on
     # its relative tolerance instead
-    a = optimize.brentq(
+    a = brentq(
         stationarity,
         chi2_quantile(df, 1e-4 * alpha),
         chi2_quantile(df, alpha) * (1.0 - 1e-12),

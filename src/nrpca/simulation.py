@@ -383,9 +383,11 @@ def _test_rep(
 
 def _map_reps(rep_fn, d_list: list[int], reps: int, workers: int) -> np.ndarray:
     """rep_fn(d, rep) for every (d, rep), in submission order, as an
-    array of shape (len(d_list), reps, k)."""
+    array of shape (len(d_list), reps, k). The pool has at most one
+    process per job."""
     ds = [d for d in d_list for _ in range(reps)]
     rs = [rep for _ in d_list for rep in range(reps)]
+    workers = min(workers, len(ds))
     if workers <= 1:
         results = list(map(rep_fn, ds, rs))
     else:

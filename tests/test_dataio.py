@@ -1,5 +1,8 @@
 """CSV round trips, layout detection, and row standardization."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
 
@@ -53,6 +56,13 @@ def test_load_matrix_ragged_reports_line(tmp_path):
     path.write_text("1,2,3\n4,5\n6,7,8\n")
     with pytest.raises(ValueError, match="line 2"):
         load_matrix(str(path))
+    # a header, labels and blank lines come first: the line is the file's
+    above = "gene,s1,s2,s3\n\n  \ng1,1,2,3\n,,,\n"
+    for row, found in (("g2,4,5", 3), ("g2,4,5,6,7", 5), ('g2,"4,5",6', 3)):
+        path.write_text(above + row + "\ng3,6,7,8\n")
+        message = f"line 6: expected 4 columns, found {found}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_matrix(str(path))
 
 
 def test_load_matrix_bad_cell_reports_position(tmp_path):
@@ -63,6 +73,85 @@ def test_load_matrix_bad_cell_reports_position(tmp_path):
     path.write_text("1,2,3\n4,inf,6\n7,8,9\n")
     with pytest.raises(ValueError, match="line 2"):
         load_matrix(str(path))
+    # a header and blank lines come first: line and column are the file's;
+    # `1_000` and non-ASCII digits pass float() but are not numbers here
+    above = "gene,s1,s2,s3\r\n\r\n\t\r\ng1,1,2,3\r\n"
+    for row, message in (
+        ("g2,4,oops,6", "line 5, column 3: non-numeric value 'oops'"),
+        ("g2,4, inf ,6", "line 5, column 3: non-finite value 'inf'"),
+        ("g2,nan,oops,6", "line 5, column 2: non-finite value 'nan'"),
+        ("g2,4,6,-Infinity", "line 5, column 4: non-finite value '-Infinity'"),
+        ("g2,4,1_000,6", "line 5, column 3: non-numeric value '1_000'"),
+        ("g2,\u0661,5,6", "line 5, column 2: non-numeric value '\u0661'"),
+        ('g2,4,"",6', "line 5, column 3: non-numeric value ''"),
+    ):
+        path.write_text(above + row + "\r\ng3,7,8,9\r\n", newline="")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_matrix(str(path))
+    # past the first block of re-parsed rows, and without a header
+    lines = [f"{k},{k + 1},{k + 2}" for k in range(3000)]
+    lines[2500] = "7,8,x9"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(
+        ValueError, match=re.escape("line 2501, column 3: non-numeric value 'x9'")
+    ):
+        load_matrix(str(path))
+
+
+def _reference_load(path):
+    """The cell-by-cell loader: csv.reader, then float() on every cell."""
+
+    def is_number(cell):
+        try:
+            float(cell)
+        except ValueError:
+            return False
+        return True
+
+    with open(path, newline="") as handle:
+        rows = [
+            [c.strip() for c in cells]
+            for cells in csv.reader(handle)
+            if any(c.strip() for c in cells)
+        ]
+    label = len(rows) > 1 and not all(is_number(r[0]) for r in rows[1:])
+    first = 1 if label else 0
+    header = not all(is_number(c) for c in rows[0][first:])
+    return np.array(
+        [[float(c) for c in r[first:]] for r in rows[header:]], dtype=np.float64
+    )
+
+
+def _styled_csv(values, header, labels, style):
+    cell = {
+        "padded": lambda v: f"  {v:.17g}\t",
+        "quoted": lambda v: f'"{v:.17g}"',
+    }.get(style, lambda v: f"{v:.17g}")
+    label = (lambda i: f'"g,{i}"') if style == "quoted" else (lambda i: f"g{i}")
+    lines = []
+    if header:
+        names = [f"s{j}" for j in range(values.shape[1])]
+        lines.append(",".join(["gene"] * labels + names))
+    for i, row in enumerate(values):
+        lines.append(",".join([label(i)] * labels + [cell(v) for v in row]))
+    if style == "blank_lines":
+        lines = ["", "   "] + [x for line in lines for x in (line, "", " \t ", ",,")]
+    newline = "\r\n" if style == "crlf" else "\n"
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("style", ["plain", "blank_lines", "crlf", "padded", "quoted"])
+@pytest.mark.parametrize("labels", [False, True])
+@pytest.mark.parametrize("header", [False, True])
+def test_load_matrix_matches_cell_by_cell_reference(tmp_path, header, labels, style):
+    rng = np.random.default_rng(23)
+    values = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-30, 30, size=(7, 5))
+    path = tmp_path / "m.csv"
+    path.write_text(_styled_csv(values, header, labels, style), newline="")
+    loaded = load_matrix(str(path)).values
+    reference = _reference_load(path)
+    assert loaded.shape == reference.shape == values.shape
+    assert loaded.tobytes() == reference.tobytes() == values.tobytes()
 
 
 def test_load_matrix_needs_three_samples(tmp_path):

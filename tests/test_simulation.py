@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from nrpca import simulation
 from nrpca.sampling import make_stream, sample_std_normal
 from nrpca.simulation import (
     SpikeScenario,
@@ -251,6 +252,33 @@ def test_run_estimation_mc_worker_count_invariant():
             keep_samples=True,
         )
         _assert_same_summary(a, b)
+
+
+def test_process_pool_capped_at_job_count(monkeypatch):
+    # 3 jobs per study at 8 workers: the pool gets 3 processes, not 8
+    sizes = []
+
+    class RecordingPool(simulation.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    pooled = run_estimation_mc(
+        "b", [8], n=10, reps=3, seed=2, workers=8, keep_samples=True
+    )
+    serial = run_estimation_mc(
+        "b", [8], n=10, reps=3, seed=2, workers=1, keep_samples=True
+    )
+    _assert_same_summary(serial, pooled)
+    pooled = run_test_mc(
+        [8], n1=5, n2=6, reps=6, seed=21, workers=8, keep_samples=True
+    )
+    serial = run_test_mc(
+        [8], n1=5, n2=6, reps=6, seed=21, workers=1, keep_samples=True
+    )
+    _assert_same_summary(serial, pooled)
+    assert sizes == [3, 3]
 
 
 def test_run_estimation_mc_keep_samples_shapes():
