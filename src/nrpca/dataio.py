@@ -45,12 +45,16 @@ def _parse(lines: list[str], cols) -> np.ndarray:
     return np.loadtxt(lines, dtype=np.float64, usecols=cols, ndmin=2, **_SPLIT)
 
 
-def _parses(lines: list[str], cols) -> bool:
+def _try_parse(lines: list[str], cols) -> tuple[np.ndarray | None, ValueError | None]:
+    """`_parse`'s matrix and None, or None and the ValueError it raised."""
     try:
-        _parse(lines, cols)
-    except ValueError:
-        return False
-    return True
+        return _parse(lines, cols), None
+    except ValueError as exc:
+        return None, exc
+
+
+def _parses(lines: list[str], cols) -> bool:
+    return _try_parse(lines, cols)[1] is None
 
 
 def _cells(line: str) -> list[str]:
@@ -137,27 +141,28 @@ def load_matrix(path: str) -> DataMatrix:
             if found != width:
                 raise _ragged(path, linenos[k], width, found)
 
-    # label column: any non-numeric first cell below the first row
-    label_col = len(lines) > 1 and not _parses(lines[1:], [0])
-    first_data_col = 1 if label_col else 0
-    cols = range(first_data_col, width)
+    cols = range(width)
     start = 0 if _parses(lines[:1], cols) else 1  # 1: a header row
-
     if start == len(lines):
         raise ValueError(f"{path}: no data rows below the header")
-    n = width - first_data_col
-    if n < 3:
+    values, error = _try_parse(lines[start:], cols)
+    # label column, looked for only when the full-width body does not
+    # parse: any non-numeric first cell below the first row
+    labels = error is not None and not _parses(lines[1:], [0])
+    if labels:
+        cols = range(1, width)
+        start = 0 if _parses(lines[:1], cols) else 1
+    if len(cols) < 3:
         raise ValueError(
-            f"{path}: need at least 3 data columns (samples), found {n}"
+            f"{path}: need at least 3 data columns (samples), found {len(cols)}"
         )
 
-    try:
-        values = _parse(lines[start:], cols)
-    except ValueError:
+    if labels:
+        values, error = _try_parse(lines[start:], cols)
+    if error is not None or not np.isfinite(values).all():
         _raise_first_bad_cell(path, lines, linenos, start, cols, width)
-        raise
-    if not np.isfinite(values).all():
-        _raise_first_bad_cell(path, lines, linenos, start, cols, width)
+    if error is not None:
+        raise error
     return DataMatrix(values)
 
 

@@ -75,10 +75,6 @@ class SymMatrix:
             raise ValueError("matrix is not symmetric within tolerance")
         object.__setattr__(self, "values", (arr + arr.T) / 2.0)
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -100,10 +96,6 @@ class SpectralDecomposition:
             raise ValueError("eigenvalues must be sorted descending")
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "eigenvectors", vecs)
-
-    @property
-    def m(self) -> int:
-        return self.eigenvalues.size
 
 
 def center_columns(x: DataMatrix) -> DataMatrix:

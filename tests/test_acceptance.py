@@ -13,6 +13,7 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from nrpca.cli import main
 from nrpca.estimators import nr_estimate
@@ -21,7 +22,7 @@ from nrpca.inference import test_f1 as f1_test
 from nrpca.linalg import DataMatrix, center_columns
 from nrpca.sampling import make_stream, sample_chi2
 from nrpca.simulation import run_estimation_mc, run_test_mc
-from nrpca.special import chi2_cdf, chi2_pdf, f_cdf, kolmogorov_sf, ks_statistic
+from nrpca.special import chi2_cdf
 
 
 class _Criterion:
@@ -41,8 +42,7 @@ class _Criterion:
 
 
 def _ks_pvalue(samples: np.ndarray, cdf) -> float:
-    d = ks_statistic(samples, cdf)
-    return kolmogorov_sf(np.sqrt(len(samples)) * d)
+    return stats.kstest(samples, cdf, method="asymp").pvalue
 
 
 def test_contribution_interval_anchors(criterion_log):
@@ -105,7 +105,7 @@ def test_top_eigenvalue_estimate_distribution(criterion_log, est_a_2048, accepta
         row = est_a_2048.rows[0]
         # ratio samples scale to the pivot by n-1
         pivot = 9.0 * est_a_2048.samples[(2048, "lambda_tilde")]
-        p_ks = _ks_pvalue(pivot, lambda x: chi2_cdf(9, x))
+        p_ks = _ks_pvalue(pivot, stats.chi2(9).cdf)
         c.detail = (
             f"mean {row.lambda_tilde_mean:.4f}, var {row.lambda_tilde_var:.4f}, "
             f"ks p {p_ks:.3f}"
@@ -123,7 +123,7 @@ def test_top_eigenvalue_estimate_distribution(criterion_log, est_a_2048, accepta
         fast_pivot = 9.0 * fast.samples[(512, "lambda_tilde")]
         assert abs(frow.lambda_tilde_mean - 1.0) <= 0.08
         assert abs(frow.lambda_tilde_var - 2.0 / 9.0) <= 0.08
-        assert _ks_pvalue(fast_pivot, lambda x: chi2_cdf(9, x)) > 0.01
+        assert _ks_pvalue(fast_pivot, stats.chi2(9).cdf) > 0.01
 
 
 def test_score_error_distribution(criterion_log, est_a_2048):
@@ -167,7 +167,7 @@ def test_null_statistic_follows_f_reference(tests_2048):
     # distributional check beyond the rejection-rate gate: under the null
     # the first-stage statistic should be F with (n1-1, n2-1) df
     f1_null = tests_2048.samples[(2048, "f1_null")]
-    assert _ks_pvalue(f1_null, lambda x: f_cdf(9, 19, x)) > 0.01
+    assert _ks_pvalue(f1_null, stats.f(9, 19).cdf) > 0.01
 
 
 def test_structural_identities(criterion_log):
@@ -198,8 +198,8 @@ def test_structural_identities(criterion_log):
         for df, alpha in ((19, 0.05), (9, 0.05), (19, 0.10), (30, 0.01)):
             pair = optimal_ab(df, alpha)
             coverage = chi2_cdf(df, pair.b) - chi2_cdf(df, pair.a)
-            lhs = pair.a**2 * chi2_pdf(df, pair.a)
-            rhs = pair.b**2 * chi2_pdf(df, pair.b)
+            lhs = pair.a**2 * stats.chi2.pdf(pair.a, df)
+            rhs = pair.b**2 * stats.chi2.pdf(pair.b, df)
             worst_cov = max(worst_cov, abs(coverage - (1.0 - alpha)))
             worst_stat = max(worst_stat, abs(lhs - rhs) / rhs)
             assert coverage == pytest.approx(1.0 - alpha, abs=1e-8)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from nrpca import dataio
 from nrpca.dataio import load_matrix, save_matrix, standardize_rows
 from nrpca.estimators import nr_estimate
 from nrpca.linalg import DataMatrix
@@ -152,6 +153,41 @@ def test_load_matrix_matches_cell_by_cell_reference(tmp_path, header, labels, st
     reference = _reference_load(path)
     assert loaded.shape == reference.shape == values.shape
     assert loaded.tobytes() == reference.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("labels", [False, True])
+@pytest.mark.parametrize("header", [False, True])
+def test_load_matrix_parses_the_body_once(tmp_path, monkeypatch, header, labels):
+    values = np.random.default_rng(29).normal(size=(40, 5))
+    path = tmp_path / "m.csv"
+    path.write_text(_styled_csv(values, header, labels, "plain"))
+    calls = []
+    parse = dataio._parse
+
+    def recording(lines, cols):
+        try:
+            out = parse(lines, cols)
+        except ValueError:
+            calls.append((len(lines), tuple(cols), False))
+            raise
+        calls.append((len(lines), tuple(cols), True))
+        return out
+
+    monkeypatch.setattr(dataio, "_parse", recording)
+    assert load_matrix(str(path)).values.tobytes() == values.tobytes()
+    full = tuple(range(5 + labels))
+    data = full[labels:]
+    if labels:
+        # the full-width tries fail on the first label cell; the label
+        # check, the header check and the body parse follow as before
+        assert [ok for *_, ok in calls[:2]] == [False, False]
+        assert calls[2:] == [
+            (40 + header - 1, (0,), False),
+            (1, data, not header),
+            (40, data, True),
+        ]
+    else:
+        assert calls == [(1, full, not header), (40, full, True)]
 
 
 def test_load_matrix_needs_three_samples(tmp_path):

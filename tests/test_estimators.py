@@ -9,6 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from nrpca.estimators import (
     DegenerateSpectrumError,
@@ -164,3 +167,57 @@ def test_equal_spectrum_raises_degenerate_error():
 def test_nr_eigenvalues_rejects_small_n():
     with pytest.raises(ValueError):
         nr_eigenvalues(np.array([1.0, 0.5]), n=2)
+
+
+# the properties run a fixed example set, so a run cannot fail by chance
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# permuting rows only reorders the Gram sums; with d <= 40 rows and
+# n <= 12 samples their rounding moves eigenvalues by far less than this
+PERMUTATION_TOL = 1e-12
+
+
+@st.composite
+def _matrices(draw, elements):
+    d = draw(st.integers(1, 40))
+    n = draw(st.integers(3, 12))
+    return draw(arrays(np.float64, (d, n), elements=elements))
+
+
+def _estimate_or_error(x):
+    try:
+        return nr_estimate(x)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY
+@given(x=_matrices(st.floats(-1e150, 1e150)), data=st.data())
+def test_row_sign_flips_leave_estimates_bit_identical(x, data):
+    flip = data.draw(arrays(np.bool_, x.shape[0]))
+    want = _estimate_or_error(x)
+    got = _estimate_or_error(np.where(flip[:, None], -x, x))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    for name in ("lambda_tilde", "lambda_hat", "scores_tilde", "scores_hat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.kappa_tilde == want.kappa_tilde
+    assert got.trace_dual == want.trace_dual
+    assert got.contribution_ratio == want.contribution_ratio
+
+
+@PROPERTY
+@given(x=_matrices(st.floats(-1e6, 1e6)), data=st.data())
+def test_row_permutations_keep_top_eigenvalue_and_tail(x, data):
+    order = data.draw(st.permutations(range(x.shape[0])))
+    want = _estimate_or_error(x)
+    got = _estimate_or_error(x[order])
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got[0] is want[0], got
+        return
+    assert not isinstance(got, tuple), got
+    tol = PERMUTATION_TOL * max(got.trace_dual, want.trace_dual)
+    assert abs(got.trace_dual - want.trace_dual) <= tol
+    assert abs(got.lambda_tilde[0] - want.lambda_tilde[0]) <= tol
+    assert abs(got.kappa_tilde - want.kappa_tilde) <= tol

@@ -8,8 +8,9 @@ from pathlib import Path
 import nrpca
 
 # modules that only `simulate` (scipy.signal) and the interval solver
-# (scipy.optimize) use; they load on first use
-DEFERRED = ("scipy.signal", "scipy.optimize")
+# (scipy.optimize) use, which load on first use, and scipy.stats, which
+# only the tests use as an oracle
+DEFERRED = ("scipy.signal", "scipy.optimize", "scipy.stats")
 
 
 def _run(code: str) -> str:

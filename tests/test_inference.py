@@ -11,8 +11,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nrpca.estimators import DegenerateSpectrumError, NrEstimate
+from nrpca.estimators import DegenerateSpectrumError, NrEstimate, nr_estimate
 from nrpca.inference import (
     CiResult,
     OrthogonalDirectionsError,
@@ -449,3 +452,40 @@ def test_jarque_bera_size_under_normality():
         + (np.mean(c**4) / m2**2 - 3.0) ** 2 / 4.0
     )
     assert jarque_bera(row).statistic == pytest.approx(want, rel=1e-12)
+
+
+def _statistics(x1, x2):
+    """F1, F2 and F3 statistics of two samples, or each one's error."""
+    try:
+        e1, e2 = nr_estimate(x1), nr_estimate(x2)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    out = []
+    for test, args in (
+        (f1_test, (e1.lambda_tilde[0], e2.lambda_tilde[0], e1.n, e2.n)),
+        (f2_test, (e1, e2)),
+        (f3_test, (e1, e2)),
+    ):
+        try:
+            out.append(test(*args).statistic)
+        except ValueError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_row_sign_flips_leave_f_statistics_bit_identical(data):
+    # d >= 2: with one row the tail mass is zero and F3 never runs
+    d = data.draw(st.integers(2, 30))
+
+    def sample():
+        n = data.draw(st.integers(3, 12))
+        elements = st.floats(-1e150, 1e150)
+        return data.draw(arrays(np.float64, (d, n), elements=elements))
+
+    x1, x2 = sample(), sample()
+    flip = data.draw(arrays(np.bool_, d))[:, None]
+    assert _statistics(
+        np.where(flip, -x1, x1), np.where(flip, -x2, x2)
+    ) == _statistics(x1, x2)

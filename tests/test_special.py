@@ -1,10 +1,13 @@
-"""Distribution function accuracy against frozen high-precision values.
+"""Chi-square and F distribution functions against frozen high-precision
+values, mpmath tails and scipy.
 
 Frozen constants were produced by independent extended-precision
 routines (50-digit series/quadrature, bisection on 40-digit CDFs):
-regularized gamma via its power series summed to 200 terms, regularized
-beta via adaptive quadrature of the integrand, quantiles via bisection,
-and the Kolmogorov tail via its alternating series.
+regularized gamma P(s, x) via its power series summed to 200 terms,
+regularized beta I_x(a, b) via adaptive quadrature of the integrand, and
+quantiles via bisection. The gamma and beta values gate the CDFs through
+the identities P(s, x) = chi2_cdf(2s, 2x) and
+I_x(a, b) = f_cdf(2a, 2b, b x / (a (1 - x))).
 """
 
 import math
@@ -12,23 +15,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from nrpca.special import (
     chi2_cdf,
-    chi2_pdf,
     chi2_quantile,
     chi2_sf,
     chi2_upper_point,
     f_cdf,
-    f_pdf,
-    f_quantile,
     f_upper_point,
-    kolmogorov_sf,
-    ks_statistic,
-    reg_beta_i,
-    reg_gamma_p,
-    reg_gamma_q,
-    std_normal_cdf,
 )
 
 # (s, x, 200-term series at 50 digits)
@@ -69,49 +64,26 @@ CHI2_QUANTILE_CASES = [
 
 @pytest.mark.parametrize("s,x,expected", GAMMA_P_CASES)
 def test_reg_gamma_p_frozen(s, x, expected):
-    assert abs(reg_gamma_p(s, x) - expected) <= 1e-12
+    # P(s, x) is the chi-square(2s) CDF at 2x
+    assert abs(chi2_cdf(2.0 * s, 2.0 * x) - expected) <= 1e-12
 
 
 def test_reg_gamma_p_exponential_case():
     # s=1 reduces to 1 - exp(-x); at x = ln 4 that is exactly 3/4
-    assert abs(reg_gamma_p(1.0, math.log(4.0)) - 0.75) <= 1e-12
+    assert abs(chi2_cdf(2.0, 2.0 * math.log(4.0)) - 0.75) <= 1e-12
 
 
 def test_reg_gamma_p_edges():
-    assert reg_gamma_p(3.0, 0.0) == 0.0
-    assert reg_gamma_q(3.0, 0.0) == 1.0
+    assert chi2_cdf(6.0, 0.0) == 0.0
+    assert chi2_sf(6.0, 0.0) == 1.0
     with pytest.raises(ValueError):
-        reg_gamma_p(0.0, 1.0)
-    with pytest.raises(ValueError):
-        reg_gamma_p(2.0, -1.0)
-
-
-def test_reg_gamma_complement():
-    for s in (0.5, 1.0, 2.25, 9.5, 60.0):
-        for x in (0.01, 0.5, s, 3.0 * s):
-            assert abs(reg_gamma_p(s, x) + reg_gamma_q(s, x) - 1.0) <= 1e-12
+        chi2_cdf(4.0, -2.0)
 
 
 @pytest.mark.parametrize("a,b,x,expected", BETA_I_CASES)
 def test_reg_beta_i_frozen(a, b, x, expected):
-    assert abs(reg_beta_i(a, b, x) - expected) <= 1e-12
-
-
-def test_reg_beta_i_symmetry():
-    for a, b in [(0.5, 0.5), (2.0, 3.0), (4.5, 9.5), (12.0, 8.0), (30.0, 40.0)]:
-        for x in (0.05, 0.3, 0.5, 0.77, 0.999):
-            assert abs(
-                reg_beta_i(a, b, x) + reg_beta_i(b, a, 1.0 - x) - 1.0
-            ) <= 1e-12
-
-
-def test_reg_beta_i_edges():
-    assert reg_beta_i(2.0, 3.0, 0.0) == 0.0
-    assert reg_beta_i(2.0, 3.0, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        reg_beta_i(2.0, 3.0, 1.5)
-    with pytest.raises(ValueError):
-        reg_beta_i(-1.0, 3.0, 0.5)
+    # I_x(a, b) is the F(2a, 2b) CDF at b x / (a (1 - x))
+    assert abs(f_cdf(2.0 * a, 2.0 * b, b * x / (a * (1.0 - x))) - expected) <= 1e-12
 
 
 def test_chi2_cdf_df2_is_exponential():
@@ -130,10 +102,10 @@ def test_chi2_sf_complement():
 
 
 def test_chi2_pdf_integrates_to_cdf():
-    # trapezoid integral of the density tracks the CDF increment
+    # trapezoid integral of scipy's density tracks the CDF increment
     df = 7.0
     grid = np.linspace(1.0, 9.0, 4001)
-    dens = np.array([chi2_pdf(df, x) for x in grid])
+    dens = stats.chi2.pdf(grid, df)
     integral = np.trapezoid(dens, grid)
     assert abs(integral - (chi2_cdf(df, 9.0) - chi2_cdf(df, 1.0))) <= 1e-6
 
@@ -180,22 +152,22 @@ def test_f_reciprocal_law():
 
 
 def test_f_quantile_roundtrip():
-    probs = [0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999]
+    alphas = [0.001, 0.01, 0.1, 0.5, 0.9, 0.99, 0.999]
     for d1, d2 in [(9.0, 19.0), (19.0, 9.0), (1.0, 1.0), (2.5, 7.5)]:
-        for p in probs:
-            assert abs(f_cdf(d1, d2, f_quantile(d1, d2, p)) - p) <= 1e-10
+        for a in alphas:
+            assert abs(1.0 - f_cdf(d1, d2, f_upper_point(d1, d2, a)) - a) <= 1e-10
 
 
 def test_f_quantile_frozen():
-    assert abs(f_quantile(9.0, 19.0, 0.975) - 2.8800520467237991307) <= 1e-9
-    assert abs(f_quantile(19.0, 9.0, 0.975) - 3.6833380832180524683) <= 1e-9
+    assert abs(f_upper_point(9.0, 19.0, 0.025) - 2.8800520467237991307) <= 1e-9
+    assert abs(f_upper_point(19.0, 9.0, 0.025) - 3.6833380832180524683) <= 1e-9
 
 
 def test_f_upper_point_matches_quantile():
     # the upper point inverts alpha itself and the quantile inverts
     # 1 - alpha, so the two agree to rounding, not bit for bit
     assert f_upper_point(9.0, 19.0, 0.05) == pytest.approx(
-        f_quantile(9.0, 19.0, 0.95), rel=1e-14
+        special.fdtri(9.0, 19.0, 0.95), rel=1e-14
     )
     assert abs(f_upper_point(9.0, 19.0, 0.05) - 2.4226989371239705544) <= 1e-9
 
@@ -220,57 +192,8 @@ def test_small_alpha_points_match_mpmath_tails(alpha):
             assert float(tail) == pytest.approx(alpha, rel=1e-12)
 
 
-def test_f_pdf_positive_and_normalized():
-    d1, d2 = 9.0, 19.0
-    grid = np.linspace(1e-6, 40.0, 20001)
-    dens = np.array([f_pdf(d1, d2, x) for x in grid])
-    assert np.all(dens >= 0.0)
-    assert abs(np.trapezoid(dens, grid) - 1.0) <= 1e-4
-
-
 def test_f_domain_errors():
     with pytest.raises(ValueError):
         f_cdf(0.0, 3.0, 1.0)
     with pytest.raises(ValueError):
-        f_quantile(3.0, 3.0, -0.1)
-
-
-def test_std_normal_cdf_frozen():
-    cases = [
-        (-1.0, 0.15865525393145705141),
-        (0.5, 0.69146246127401310364),
-        (2.0, 0.9772498680518207928),
-    ]
-    for x, expected in cases:
-        assert abs(std_normal_cdf(x) - expected) <= 1e-13
-    assert std_normal_cdf(0.0) == 0.5
-
-
-def test_kolmogorov_sf_frozen():
-    cases = [
-        (0.5, 0.96394524366487509439),
-        (1.0, 0.2699996716773545212),
-        (1.5, 0.022217962616525128721),
-    ]
-    for x, expected in cases:
-        assert abs(kolmogorov_sf(x) - expected) <= 1e-12
-
-
-def test_kolmogorov_sf_shape():
-    values = [kolmogorov_sf(x) for x in (0.2, 0.5, 1.0, 2.0, 4.0)]
-    assert all(0.0 < v <= 1.0 for v in values[:-1])
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert kolmogorov_sf(0.0) == 1.0
-
-
-def test_ks_statistic_hand_case():
-    # against the uniform CDF the largest gap is 2/3 - 0.2, where the
-    # empirical CDF has climbed to 2/3 but F(0.2) is still 0.2
-    values = np.array([0.1, 0.2, 0.9])
-    d = ks_statistic(values, lambda x: x)
-    assert abs(d - (2.0 / 3.0 - 0.2)) <= 1e-15
-
-
-def test_ks_statistic_detects_shift():
-    rough = ks_statistic(np.linspace(0.0, 0.5, 100), lambda x: x)
-    assert rough > 0.45
+        f_upper_point(3.0, 3.0, -0.1)
