@@ -43,7 +43,6 @@ from .inference import (
 )
 from .linalg import (
     DataMatrix,
-    SpectralDecomposition,
     SymMatrix,
     center_columns,
     dual_covariance,
@@ -98,7 +97,6 @@ __all__ = [
     "test_f2",
     "test_f3",
     "DataMatrix",
-    "SpectralDecomposition",
     "SymMatrix",
     "center_columns",
     "dual_covariance",

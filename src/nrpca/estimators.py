@@ -25,13 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import (
-    DataMatrix,
-    SpectralDecomposition,
-    center_columns,
-    dual_covariance,
-    sym_eigen,
-)
+from .linalg import DataMatrix, center_columns, dual_covariance, sym_eigen
 
 __all__ = [
     "DegenerateSpectrumError",
@@ -46,35 +40,39 @@ __all__ = [
 ]
 
 # negatives beyond this fraction of the trace indicate numerical damage,
-# not the usual harmless round-off at an exact zero
+# not the usual harmless round-off at an exact zero; relative to the
+# trace alone, so the guards do not depend on the data's units
 _CLAMP_REL = 1e-14
+# below this trace (the smallest normal over machine epsilon, 2^-970)
+# the Gram products have lost bits to underflow
+_GRAM_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 
 
 class DegenerateSpectrumError(ValueError):
     """The corrected first eigenvalue vanished; directions are undefined."""
 
 
+_NO_SPIKE = (
+    "corrected first eigenvalue is zero: the spectrum has no "
+    "detectable spike, so directions and scores are undefined"
+)
+
+
 def nr_eigenvalues(
-    decomposition: SpectralDecomposition | np.ndarray,
-    n: int,
-    trace: float | None = None,
+    eigenvalues: np.ndarray, n: int, trace: float | None = None
 ) -> np.ndarray:
     """Noise-corrected eigenvalues lambda_tilde_1..lambda_tilde_{n-2}.
 
     Parameters
     ----------
-    decomposition : SpectralDecomposition or ndarray
-        The dual covariance spectrum (descending). An array of
-        eigenvalues is accepted directly.
+    eigenvalues : ndarray
+        The dual covariance spectrum (descending).
     n : int
         Sample count; the correction divides by n - 1 - i.
     trace : float, optional
         Total spectral mass. Defaults to the eigenvalue sum.
     """
-    if isinstance(decomposition, SpectralDecomposition):
-        eigenvalues = decomposition.eigenvalues
-    else:
-        eigenvalues = np.asarray(decomposition, dtype=np.float64)
+    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
     n = int(n)
     if n < 3:
         raise ValueError(f"need n >= 3 samples, got {n}")
@@ -87,8 +85,7 @@ def nr_eigenvalues(
     partial = np.cumsum(leading)
     divisors = (n - 1) - np.arange(1, n - 1, dtype=np.float64)
     corrected = leading - (total - partial) / divisors
-    floor = -_CLAMP_REL * max(abs(total), 1.0)
-    if np.any(corrected < floor):
+    if np.any(corrected < -_CLAMP_REL * abs(total)):
         worst = float(corrected.min())
         raise ValueError(
             f"corrected eigenvalue {worst:.3e} is negative beyond round-off; "
@@ -107,7 +104,7 @@ def kappa_tilde(trace_dual: float, lambda_tilde_1: float) -> float:
     trace_dual = float(trace_dual)
     lambda_tilde_1 = float(lambda_tilde_1)
     value = trace_dual - lambda_tilde_1
-    if value < -_CLAMP_REL * max(abs(trace_dual), 1.0):
+    if value < -_CLAMP_REL * abs(trace_dual):
         raise ValueError(
             f"lambda_tilde_1={lambda_tilde_1} exceeds trace={trace_dual}; "
             "inputs are not from the same decomposition"
@@ -115,8 +112,9 @@ def kappa_tilde(trace_dual: float, lambda_tilde_1: float) -> float:
     return max(value, 0.0)
 
 
-def pc_direction(xc: DataMatrix, u1: np.ndarray, scale: float) -> np.ndarray:
-    """Direction estimate (Xc u1)/sqrt(scale) with scale = (n-1)*lambda.
+def pc_direction(xc: np.ndarray, u1: np.ndarray, scale: float) -> np.ndarray:
+    """Direction estimate (Xc u1)/sqrt(scale) with scale = (n-1)*lambda,
+    for a centered d x n array Xc.
 
     With the conventional eigenvalue the result has unit norm; with the
     corrected one the norm is sqrt(lambda_hat_1/lambda_tilde_1) >= 1.
@@ -128,9 +126,10 @@ def pc_direction(xc: DataMatrix, u1: np.ndarray, scale: float) -> np.ndarray:
             "a vanished first eigenvalue leaves the direction undefined"
         )
     u1 = np.asarray(u1, dtype=np.float64)
-    if u1.shape != (xc.n,):
-        raise ValueError(f"u1 must have length n={xc.n}, got shape {u1.shape}")
-    return (xc.values @ u1) / math.sqrt(scale)
+    n = xc.shape[1]
+    if u1.shape != (n,):
+        raise ValueError(f"u1 must have length n={n}, got shape {u1.shape}")
+    return (xc @ u1) / math.sqrt(scale)
 
 
 def pc_scores(u1: np.ndarray, lam: float, n: int) -> np.ndarray:
@@ -175,8 +174,10 @@ class NrEstimate:
     lambda_tilde holds the corrected eigenvalues (length n-2), lambda_hat
     the conventional ones (length n-1, the structurally zero last dual
     eigenvalue dropped). kappa_tilde is trace_dual - lambda_tilde[0] by
-    definition, so the two always sum back to the trace. h_hat_1 is the
-    unit conventional direction, h_tilde_1 the inflated corrected one.
+    definition, so the two always sum back to the trace. h_tilde_1, the
+    inflated corrected direction, is the one stored d-vector; its squared
+    norm h_tilde_norm_sq = lh_1/lt_1 and the unit conventional direction
+    h_hat_1 are derived from the eigenvalues and from it.
     """
 
     d: int
@@ -186,7 +187,6 @@ class NrEstimate:
     kappa_tilde: float
     trace_dual: float
     h_tilde_1: np.ndarray
-    h_hat_1: np.ndarray
     scores_tilde: np.ndarray
     scores_hat: np.ndarray
 
@@ -196,19 +196,24 @@ class NrEstimate:
 
     @property
     def h_tilde_norm_sq(self) -> float:
-        """Norm inflation of the corrected direction, lh_1/lt_1 >= 1."""
-        return float(self.h_tilde_1 @ self.h_tilde_1)
+        """Norm inflation of the corrected direction, lh_1/lt_1 >= 1;
+        equal to h_tilde_1 @ h_tilde_1 because ||Xc u_1||^2 = (n-1) lh_1."""
+        return float(self.lambda_hat[0] / self.lambda_tilde[0])
+
+    @property
+    def h_hat_1(self) -> np.ndarray:
+        """The unit conventional direction (Xc u_1)/sqrt((n-1) lh_1)."""
+        return self.h_tilde_1 / math.sqrt(self.h_tilde_norm_sq)
 
     def aligned_with(self, direction: np.ndarray) -> "NrEstimate":
         """Flip estimate signs so the estimated direction points along
         a known true direction (used by simulations where truth exists)."""
         direction = np.asarray(direction, dtype=np.float64)
-        if float(direction @ self.h_hat_1) >= 0.0:
+        if float(direction @ self.h_tilde_1) >= 0.0:
             return self
         return replace(
             self,
             h_tilde_1=-self.h_tilde_1,
-            h_hat_1=-self.h_hat_1,
             scores_tilde=-self.scores_tilde,
             scores_hat=-self.scores_hat,
         )
@@ -217,41 +222,44 @@ class NrEstimate:
 def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
     """Run the full first-component pipeline on a data matrix.
 
-    Centers the columns, forms the dual covariance, decomposes it, applies
-    the noise correction, and produces both direction and score estimates.
+    Validates the input once, centers the columns, forms the dual
+    covariance, decomposes it, applies the noise correction, and computes
+    the scores and, with one matvec, the corrected direction.
 
     Raises
     ------
     DegenerateSpectrumError
-        If lambda_tilde_1 is zero (no detectable spike; the direction and
-        downstream tests would be meaningless).
+        If lambda_tilde_1 is zero relative to the trace (no detectable
+        spike; the direction and downstream tests would be meaningless),
+        if the first eigenvector lies mostly along the all-ones vector
+        (constant rows), or if the trace is so small that the Gram
+        matrix underflowed.
     """
     if not isinstance(x, DataMatrix):
-        x = DataMatrix(np.asarray(x, dtype=np.float64))
-    xc = center_columns(x)
-    decomposition = sym_eigen(dual_covariance(xc))
+        x = DataMatrix(x)
     n = x.n
-    trace_dual = float(decomposition.eigenvalues.sum())
-    lambda_hat = decomposition.eigenvalues[: n - 1].copy()
-    lambda_tilde = nr_eigenvalues(decomposition, n, trace=trace_dual)
+    xc = center_columns(x)
+    eigenvalues, eigenvectors = sym_eigen(dual_covariance(xc))
+    trace_dual = float(eigenvalues.sum())
+    if trace_dual < _GRAM_UNDERFLOW:
+        raise DegenerateSpectrumError(_NO_SPIKE)
+    lambda_tilde = nr_eigenvalues(eigenvalues, n, trace=trace_dual)
     lt1 = float(lambda_tilde[0])
-    lh1 = float(lambda_hat[0])
-    if lt1 <= _CLAMP_REL * max(abs(trace_dual), 1.0):
-        raise DegenerateSpectrumError(
-            "corrected first eigenvalue is zero: the spectrum has no "
-            "detectable spike, so directions and scores are undefined"
-        )
-    kt = kappa_tilde(trace_dual, lt1)
-    u1 = decomposition.eigenvectors[:, 0]
+    u1 = eigenvectors[:, 0]
+    # the centered Gram has the ones vector in its null space, so a first
+    # eigenvector mostly along it is the rounding residue of centering
+    # constant rows, not a spike
+    if lt1 <= _CLAMP_REL * trace_dual or u1.sum() ** 2 > n / 2:
+        raise DegenerateSpectrumError(_NO_SPIKE)
+    lambda_hat = eigenvalues[: n - 1]
     return NrEstimate(
         d=x.d,
         n=n,
         lambda_tilde=lambda_tilde,
         lambda_hat=lambda_hat,
-        kappa_tilde=kt,
+        kappa_tilde=kappa_tilde(trace_dual, lt1),
         trace_dual=trace_dual,
         h_tilde_1=pc_direction(xc, u1, (n - 1) * lt1),
-        h_hat_1=pc_direction(xc, u1, (n - 1) * lh1),
         scores_tilde=pc_scores(u1, lt1, n),
-        scores_hat=pc_scores(u1, lh1, n),
+        scores_hat=pc_scores(u1, float(lambda_hat[0]), n),
     )

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "DataMatrix",
     "SymMatrix",
-    "SpectralDecomposition",
     "center_columns",
     "dual_covariance",
     "sym_eigen",
@@ -60,6 +59,7 @@ class DataMatrix:
         return self.values.shape[1]
 
 
+# sym_eigen's input type; the benchmark probe builds one directly
 @dataclass(frozen=True)
 class SymMatrix:
     """A symmetric m x m matrix, symmetrized exactly on construction."""
@@ -76,47 +76,26 @@ class SymMatrix:
         object.__setattr__(self, "values", (arr + arr.T) / 2.0)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigenvalues sorted descending plus orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = _as_float_array(self.eigenvalues, "eigenvalues")
-        vecs = _as_float_array(self.eigenvectors, "eigenvectors")
-        if vals.ndim != 1:
-            raise ValueError("eigenvalues must be a vector")
-        if vecs.ndim != 2 or vecs.shape != (vals.size, vals.size):
-            raise ValueError(
-                f"eigenvectors must be {vals.size}x{vals.size}, got {vecs.shape}"
-            )
-        if np.any(np.diff(vals) > 1e-12 * (1.0 + np.abs(vals).max(initial=0.0))):
-            raise ValueError("eigenvalues must be sorted descending")
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
-
-
-def center_columns(x: DataMatrix) -> DataMatrix:
+def center_columns(x: DataMatrix) -> np.ndarray:
     """Subtract the sample mean from every column.
 
     Equivalent to right-multiplying by the centering projector
-    I_n - 1_n 1_n^T / n; every row of the result sums to zero.
+    I_n - 1_n 1_n^T / n; every row of the result sums to zero. Not
+    re-checked for finiteness: an overflowed column makes its own Gram
+    diagonal non-finite, so `dual_covariance` rejects it.
     """
     values = x.values
-    return DataMatrix(values - values.mean(axis=1, keepdims=True))
+    return values - values.mean(axis=1, keepdims=True)
 
 
-def dual_covariance(xc: DataMatrix) -> SymMatrix:
-    """The n x n dual sample covariance of a centered matrix.
+def dual_covariance(xc: np.ndarray) -> SymMatrix:
+    """The n x n dual sample covariance of a centered d x n array.
 
     Returns (Xc^T Xc)/(n - 1). Shares its nonzero eigenvalues with the
     d x d sample covariance; centering forces the smallest one to zero.
     """
-    values = xc.values
-    gram = values.T @ values
-    return SymMatrix(gram / (values.shape[1] - 1))
+    gram = xc.T @ xc
+    return SymMatrix(gram / (xc.shape[1] - 1))
 
 
 def _apply_sign_convention(vectors: np.ndarray) -> None:
@@ -130,15 +109,16 @@ def _apply_sign_convention(vectors: np.ndarray) -> None:
             vectors[:, j] = -col
 
 
-def sym_eigen(a: SymMatrix) -> SpectralDecomposition:
+def sym_eigen(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full spectral decomposition by LAPACK's symmetric solver (`eigh`).
 
-    Eigenvalues come back in a stable descending sort, so ties keep
-    LAPACK's order, and each eigenvector column has its largest-magnitude
-    component positive.
+    Returns (eigenvalues, eigenvectors): the eigenvalues in a stable
+    descending sort, so ties keep LAPACK's order, and the eigenvectors
+    as matching columns, each with its largest-magnitude component
+    positive.
     """
     values, vectors = np.linalg.eigh(a.values)
     order = np.argsort(-values, kind="stable")
     eigenvectors = vectors[:, order]
     _apply_sign_convention(eigenvectors)
-    return SpectralDecomposition(values[order], eigenvectors)
+    return values[order], eigenvectors

@@ -179,13 +179,15 @@ def test_structural_identities(criterion_log):
             assert est.lambda_tilde[0] + est.kappa_tilde == pytest.approx(
                 est.trace_dual, rel=1e-12
             )
-            assert est.h_tilde_norm_sq * est.lambda_tilde[0] == pytest.approx(
+            # the stored direction's squared norm carries the bias ratio
+            h_sq = est.h_tilde_1 @ est.h_tilde_1
+            assert h_sq * est.lambda_tilde[0] == pytest.approx(
                 est.lambda_hat[0], rel=1e-10
             )
 
             # the small-side spectrum must agree with the full covariance
             xc = center_columns(DataMatrix(x))
-            primal = xc.values @ xc.values.T / (n - 1)
+            primal = xc @ xc.T / (n - 1)
             prim_eigs = np.linalg.eigvalsh(primal)[::-1]
             rank = min(d, n - 1)
             for k in range(rank):

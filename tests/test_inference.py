@@ -284,7 +284,6 @@ def _fake_estimate(lt1: float, kappa: float, h1: np.ndarray, n: int = 10):
         kappa_tilde=kappa,
         trace_dual=lt1 + kappa,
         h_tilde_1=np.asarray(h1, dtype=np.float64),
-        h_hat_1=np.asarray(h1, dtype=np.float64),
         scores_tilde=np.zeros(n),
         scores_hat=np.zeros(n),
     )
