@@ -6,11 +6,11 @@ when variables vastly outnumber samples. On top of it sit a confidence
 interval for the first contribution ratio, three F-based equality tests
 for two covariance spectra, and a deterministic Monte Carlo harness.
 
-Importing the package loads numpy and scipy.special only. The Monte
-Carlo names (`run_estimation_mc`, `gen_ar1`, ... from `simulation`)
-resolve on first access, and `optimal_ab` imports scipy.optimize on its
-first call, so `import nrpca` and the non-simulating CLI commands start
-without scipy.signal and scipy.optimize.
+Importing the package loads numpy only. The Monte Carlo names
+(`run_estimation_mc`, `gen_ar1`, ... from `simulation`) resolve on first
+access, and the distribution functions and `optimal_ab` import
+scipy.special and scipy.optimize on their first call, so `import nrpca`
+and the non-simulating CLI commands start without scipy.
 """
 
 from .dataio import load_matrix, save_matrix, standardize_rows

@@ -82,9 +82,11 @@ def center_columns(x: DataMatrix) -> np.ndarray:
     Equivalent to right-multiplying by the centering projector
     I_n - 1_n 1_n^T / n; every row of the result sums to zero. Not
     re-checked for finiteness: an overflowed column makes its own Gram
-    diagonal non-finite, so `dual_covariance` rejects it.
+    diagonal non-finite, so `dual_covariance` rejects it. The means are
+    taken over a C-ordered array, as numpy sums a row in another order
+    in Fortran order, so both layouts give the same bits.
     """
-    values = x.values
+    values = np.ascontiguousarray(x.values)
     return values - values.mean(axis=1, keepdims=True)
 
 

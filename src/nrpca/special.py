@@ -5,13 +5,14 @@ Every function is an argument-checked scalar wrapper over `scipy.special`
 (Cephes), which computes complements and upper-tail inverses directly.
 Upper points are therefore inverted from the tail probability itself,
 never from 1 - alpha, so small alphas keep full relative accuracy.
+`scipy.special` is imported on the first call, so importing this module
+does not load scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-
-from scipy import special as sc
 
 __all__ = [
     "chi2_cdf",
@@ -21,6 +22,14 @@ __all__ = [
     "f_cdf",
     "f_upper_point",
 ]
+
+
+@functools.cache
+def _sc():
+    """`scipy.special`, imported on first use."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -61,32 +70,32 @@ def _check_probability(name: str, p: float) -> float:
 
 def chi2_cdf(df: float, x: float) -> float:
     """Chi-square CDF with df degrees of freedom, df > 0."""
-    return float(sc.chdtr(_check_positive("df", df), _check_nonnegative(x)))
+    return float(_sc().chdtr(_check_positive("df", df), _check_nonnegative(x)))
 
 
 def chi2_sf(df: float, x: float) -> float:
     """Chi-square upper tail probability, accurate for large x."""
-    return float(sc.chdtrc(_check_positive("df", df), _check_nonnegative(x)))
+    return float(_sc().chdtrc(_check_positive("df", df), _check_nonnegative(x)))
 
 
 def chi2_quantile(df: float, p: float) -> float:
     """Lower-tail chi-square quantile: the q with chi2_cdf(df, q) = p."""
     df = _check_positive("df", df)
     p = _check_probability("probability", p)
-    return 2.0 * float(sc.gammaincinv(0.5 * df, p))
+    return 2.0 * float(_sc().gammaincinv(0.5 * df, p))
 
 
 def chi2_upper_point(df: float, alpha: float) -> float:
     """Upper alpha point of the chi-square distribution: P(X > value) = alpha."""
     df = _check_positive("df", df)
     alpha = _check_probability("alpha", alpha)
-    return float(sc.chdtri(df, alpha))
+    return float(_sc().chdtri(df, alpha))
 
 
 def f_cdf(d1: float, d2: float, x: float) -> float:
     """F distribution CDF with (d1, d2) degrees of freedom."""
     d1, d2 = _check_f_dfs(d1, d2)
-    return float(sc.fdtr(d1, d2, _check_nonnegative(x)))
+    return float(_sc().fdtr(d1, d2, _check_nonnegative(x)))
 
 
 def f_upper_point(d1: float, d2: float, alpha: float) -> float:
@@ -97,4 +106,4 @@ def f_upper_point(d1: float, d2: float, alpha: float) -> float:
     """
     d1, d2 = _check_f_dfs(d1, d2)
     alpha = _check_probability("alpha", alpha)
-    return 1.0 / float(sc.fdtri(d2, d1, alpha))
+    return 1.0 / float(_sc().fdtri(d2, d1, alpha))

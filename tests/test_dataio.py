@@ -1,7 +1,9 @@
 """CSV round trips, layout detection, and row standardization."""
 
 import csv
+import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +12,26 @@ from nrpca import dataio
 from nrpca.dataio import load_matrix, save_matrix, standardize_rows
 from nrpca.estimators import nr_estimate
 from nrpca.linalg import DataMatrix
+
+# the default block size, and one of a few lines, at which every file
+# below spans many blocks; two usable cores put those through the pool
+BLOCK_SIZES = (dataio._BLOCK_BYTES, 40)
+
+
+def _at_each_block_size(monkeypatch):
+    """Yield once per block size, with the small one parsed by a pool."""
+    for size in BLOCK_SIZES:
+        with monkeypatch.context() as patch:
+            if size != dataio._BLOCK_BYTES:
+                patch.setattr(dataio, "_BLOCK_BYTES", size)
+                patch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
+            yield size
+
+
+def _raises_at_each_block_size(monkeypatch, path, message):
+    for _ in _at_each_block_size(monkeypatch):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_matrix(str(path))
 
 
 def test_save_load_round_trip_bit_exact(tmp_path):
@@ -52,28 +74,33 @@ def test_load_matrix_skips_blank_lines(tmp_path):
     assert loaded.values.shape == (2, 3)
 
 
-def test_load_matrix_ragged_reports_line(tmp_path):
+def test_load_matrix_ragged_reports_line(tmp_path, monkeypatch):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2,3\n4,5\n6,7,8\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_matrix(str(path))
+    _raises_at_each_block_size(monkeypatch, path, "line 2")
     # a header, labels and blank lines come first: the line is the file's
     above = "gene,s1,s2,s3\n\n  \ng1,1,2,3\n,,,\n"
     for row, found in (("g2,4,5", 3), ("g2,4,5,6,7", 5), ('g2,"4,5",6', 3)):
         path.write_text(above + row + "\ng3,6,7,8\n")
         message = f"line 6: expected 4 columns, found {found}"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_matrix(str(path))
+        _raises_at_each_block_size(monkeypatch, path, message)
+    # in a late block, and reported before a bad cell in an earlier one
+    lines = [f"{k},{k + 1},{k + 2}" for k in range(3000)]
+    lines[2500] = "7,8"
+    path.write_text("\n".join(lines) + "\n")
+    message = "line 2501: expected 3 columns, found 2"
+    _raises_at_each_block_size(monkeypatch, path, message)
+    lines[100] = "1,x,3"
+    path.write_text("\n".join(lines) + "\n")
+    _raises_at_each_block_size(monkeypatch, path, message)
 
 
-def test_load_matrix_bad_cell_reports_position(tmp_path):
+def test_load_matrix_bad_cell_reports_position(tmp_path, monkeypatch):
     path = tmp_path / "bad.csv"
     path.write_text("1,2,3\n4,oops,6\n7,8,9\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_matrix(str(path))
+    _raises_at_each_block_size(monkeypatch, path, "line 2")
     path.write_text("1,2,3\n4,inf,6\n7,8,9\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_matrix(str(path))
+    _raises_at_each_block_size(monkeypatch, path, "line 2")
     # a header and blank lines come first: line and column are the file's;
     # `1_000` and non-ASCII digits pass float() but are not numbers here
     above = "gene,s1,s2,s3\r\n\r\n\t\r\ng1,1,2,3\r\n"
@@ -87,16 +114,21 @@ def test_load_matrix_bad_cell_reports_position(tmp_path):
         ('g2,4,"",6', "line 5, column 3: non-numeric value ''"),
     ):
         path.write_text(above + row + "\r\ng3,7,8,9\r\n", newline="")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_matrix(str(path))
+        _raises_at_each_block_size(monkeypatch, path, message)
     # past the first block of re-parsed rows, and without a header
     lines = [f"{k},{k + 1},{k + 2}" for k in range(3000)]
     lines[2500] = "7,8,x9"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(
-        ValueError, match=re.escape("line 2501, column 3: non-numeric value 'x9'")
-    ):
-        load_matrix(str(path))
+    message = "line 2501, column 3: non-numeric value 'x9'"
+    _raises_at_each_block_size(monkeypatch, path, message)
+    # a non-finite cell in a late block, and text in column 0 in another
+    # that makes the column labels: the column is the file's
+    lines = [f"{k},{k + 1},{k + 2},{k + 3}" for k in range(3000)]
+    lines[2500] = "7,8,9,inf"
+    lines[1200] = "g,1,2,3"
+    path.write_text("\n".join(lines) + "\n")
+    message = "line 2501, column 4: non-finite value 'inf'"
+    _raises_at_each_block_size(monkeypatch, path, message)
 
 
 def _reference_load(path):
@@ -136,23 +168,49 @@ def _styled_csv(values, header, labels, style):
     for i, row in enumerate(values):
         lines.append(",".join([label(i)] * labels + [cell(v) for v in row]))
     if style == "blank_lines":
-        lines = ["", "   "] + [x for line in lines for x in (line, "", " \t ", ",,")]
-    newline = "\r\n" if style == "crlf" else "\n"
+        # the second blank line is longer than the small block size
+        lines = ["", " " * 60] + [x for line in lines for x in (line, "", " \t ", ",,")]
+    newline = {"crlf": "\r\n", "cr": "\r"}.get(style, "\n")
     return newline.join(lines) + newline
 
 
-@pytest.mark.parametrize("style", ["plain", "blank_lines", "crlf", "padded", "quoted"])
+@pytest.mark.parametrize(
+    "style", ["plain", "blank_lines", "crlf", "cr", "padded", "quoted"]
+)
 @pytest.mark.parametrize("labels", [False, True])
 @pytest.mark.parametrize("header", [False, True])
-def test_load_matrix_matches_cell_by_cell_reference(tmp_path, header, labels, style):
+def test_load_matrix_matches_cell_by_cell_reference(
+    tmp_path, monkeypatch, header, labels, style
+):
     rng = np.random.default_rng(23)
     values = rng.normal(size=(7, 5)) * 10.0 ** rng.integers(-30, 30, size=(7, 5))
     path = tmp_path / "m.csv"
     path.write_text(_styled_csv(values, header, labels, style), newline="")
-    loaded = load_matrix(str(path)).values
     reference = _reference_load(path)
-    assert loaded.shape == reference.shape == values.shape
-    assert loaded.tobytes() == reference.tobytes() == values.tobytes()
+    assert reference.shape == values.shape
+    assert reference.tobytes() == values.tobytes()
+    for _ in _at_each_block_size(monkeypatch):
+        loaded = load_matrix(str(path)).values
+        assert loaded.shape == values.shape
+        assert loaded.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("first", ["1", "g0"])
+def test_load_matrix_late_text_in_column_0_makes_labels(tmp_path, monkeypatch, first):
+    # one text cell far down column 0 drops the whole column as labels,
+    # the first line's too, though the blocks before it see no text
+    values = np.random.default_rng(37).normal(size=(2000, 4))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in values]
+    lines[0] = first + lines[0][lines[0].index(",") :]
+    lines[1500] = "g1500" + lines[1500][lines[1500].index(",") :]
+    path = tmp_path / "late.csv"
+    path.write_text("\n".join(lines) + "\n")
+    reference = _reference_load(path)
+    assert reference.tobytes() == values[:, 1:].tobytes()
+    for _ in _at_each_block_size(monkeypatch):
+        loaded = load_matrix(str(path)).values
+        assert loaded.shape == (2000, 3)
+        assert loaded.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("labels", [False, True])
@@ -190,11 +248,50 @@ def test_load_matrix_parses_the_body_once(tmp_path, monkeypatch, header, labels)
         assert calls == [(1, full, not header), (40, full, True)]
 
 
-def test_load_matrix_needs_three_samples(tmp_path):
+def _load_through_pipe(fifo, text):
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        return load_matrix(str(fifo))
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+def test_load_matrix_reads_a_pipe(tmp_path, monkeypatch):
+    # a pipe can be read only once, so its blocks and the error path
+    # read a copy; the error still names the pipe's line and column
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    values = np.random.default_rng(41).normal(size=(60, 4))
+    text = _styled_csv(values, header=True, labels=True, style="crlf")
+    bad = text.replace(f"g50,{values[50, 0]:.17g}", "g50,oops", 1)
+    message = f"{fifo}: line 52, column 2: non-numeric value 'oops'"
+    for _ in _at_each_block_size(monkeypatch):
+        assert _load_through_pipe(fifo, text).values.tobytes() == values.tobytes()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _load_through_pipe(fifo, bad)
+
+
+def test_load_matrix_needs_three_samples(tmp_path, monkeypatch):
     path = tmp_path / "narrow.csv"
     path.write_text("1,2\n3,4\n")
-    with pytest.raises(ValueError):
-        load_matrix(str(path))
+    message = "need at least 3 data columns (samples), found 2"
+    _raises_at_each_block_size(monkeypatch, path, message)
+    # three columns, of which the first is labels
+    path.write_text("g1,1,2\ng2,3,4\n")
+    _raises_at_each_block_size(monkeypatch, path, message)
+
+
+def test_load_matrix_needs_data_rows(tmp_path, monkeypatch):
+    path = tmp_path / "empty.csv"
+    for text, message in (
+        ("", "no data rows found"),
+        ("\n  \n,,,\n", "no data rows found"),
+        ("s1,s2,s3\n\n", "no data rows below the header"),
+    ):
+        path.write_text(text)
+        _raises_at_each_block_size(monkeypatch, path, f"{path}: {message}")
 
 
 def test_standardize_rows_unit_variance():

@@ -241,6 +241,21 @@ def test_row_permutations_keep_top_eigenvalue_and_tail(x, data):
     assert abs(got.kappa_tilde - want.kappa_tilde) <= tol
 
 
+@PROPERTY
+@given(x=_matrices(st.floats(-1e150, 1e150)))
+def test_memory_layout_leaves_estimates_bit_identical(x):
+    want = _estimate_or_error(x)
+    got = _estimate_or_error(np.asfortranarray(x))
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert not isinstance(got, tuple), got
+    for name in ("lambda_tilde", "lambda_hat", "h_tilde_1", "scores_tilde", "scores_hat"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.kappa_tilde == want.kappa_tilde
+    assert got.trace_dual == want.trace_dual
+
+
 def _small_data_spike():
     # contribution ratio 0.44: row 0 carries a 30x spike over unit noise
     x = np.random.default_rng(1).standard_normal((500, 10))

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import nrpca
 
-# modules that only `simulate` (scipy.signal) and the interval solver
-# (scipy.optimize) use, which load on first use, and scipy.stats, which
-# only the tests use as an oracle
-DEFERRED = ("scipy.signal", "scipy.optimize", "scipy.stats")
+# modules that only `simulate` (scipy.signal), the interval solver
+# (scipy.optimize) and the distribution functions (scipy.special) use,
+# which load on first use, and scipy.stats, which only the tests use as
+# an oracle
+DEFERRED = ("scipy.signal", "scipy.optimize", "scipy.special", "scipy.stats")
 
 
 def _run(code: str) -> str:

@@ -6,12 +6,16 @@ recursions) or large-sample moment checks with bands a few standard
 errors wide.
 """
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
-from nrpca import simulation
+from nrpca import dataio, simulation
+from nrpca.dataio import load_matrix
 from nrpca.sampling import make_stream, sample_std_normal
 from nrpca.simulation import (
     SpikeScenario,
@@ -279,6 +283,48 @@ def test_process_pool_capped_at_job_count(monkeypatch):
     )
     _assert_same_summary(serial, pooled)
     assert sizes == [3, 3]
+
+
+def _three_block_csv(tmp_path):
+    # 30 lines of 20 bytes: 3 blocks of 200 bytes, cut after lines 10 and 20
+    values = 1000.0 + np.arange(120.0).reshape(30, 4)
+    path = tmp_path / "m.csv"
+    path.write_text("".join(",".join(f"{v:.0f}" for v in row) + "\n" for row in values))
+    return path, values
+
+
+def test_load_matrix_pool_capped_at_block_count(tmp_path, monkeypatch):
+    # one pool per multi-block load, with one process per usable core up
+    # to one per block, and the same bytes at every core count
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    path, values = _three_block_csv(tmp_path)
+    loaded = {}
+    for cores in (1, 2, 8):
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+            assert load_matrix(str(path)).values.tobytes() == values.tobytes()
+            patch.setattr(dataio, "_BLOCK_BYTES", 200)
+            loaded[cores] = load_matrix(str(path)).values.tobytes()
+    assert sizes == [2, 3]
+    assert loaded[1] == loaded[2] == loaded[8] == values.tobytes()
+
+
+def test_load_matrix_in_a_daemonic_process(tmp_path, monkeypatch):
+    # a multiprocessing.Pool worker may not start processes: it parses
+    # every block itself
+    path, values = _three_block_csv(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 200)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        loaded = pool.apply_async(load_matrix, (str(path),)).get(timeout=60)
+    assert loaded.values.tobytes() == values.tobytes()
 
 
 def test_run_estimation_mc_keep_samples_shapes():
