@@ -22,8 +22,12 @@ blocks are joined in file order. The result and every error message
 depend on neither that count nor the block size; there is no option
 for either. A file with CR-only line endings has no line feed to cut
 at, so it is one block and parses serially. A pipe is copied to a
-temporary file first. Any input the blocks reject is read again line
-by line to name the first bad line.
+temporary file first. Each block reports its line count, its first
+ragged line and whether its column 0 holds text, without raising; the
+header, label and width rules are applied once, to the whole file.
+Only a block that holds a bad cell is read again, from its own bytes,
+to name the first bad line and column. A UTF-8 byte-order mark is
+dropped at offset 0 and nowhere else.
 
 Saving uses 17 significant digits so a save/load round trip reproduces
 every float bit for bit.
@@ -31,17 +35,19 @@ every float bit for bit.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
 import os
 import string
 from functools import partial
-from typing import NoReturn
+from itertools import accumulate
 
 import numpy as np
 
 from .linalg import DataMatrix
+from .parallel import ordered_map
 
 __all__ = ["load_matrix", "save_matrix", "standardize_rows"]
 
@@ -61,16 +67,12 @@ def _parse(lines: list[str], cols) -> np.ndarray:
     return np.loadtxt(lines, dtype=np.float64, usecols=cols, ndmin=2, **_SPLIT)
 
 
-def _try_parse(lines: list[str], cols) -> tuple[np.ndarray | None, ValueError | None]:
-    """`_parse`'s matrix and None, or None and the ValueError it raised."""
-    try:
-        return _parse(lines, cols), None
-    except ValueError as exc:
-        return None, exc
-
-
 def _parses(lines: list[str], cols) -> bool:
-    return _try_parse(lines, cols)[1] is None
+    try:
+        _parse(lines, cols)
+    except ValueError:
+        return False
+    return True
 
 
 def _cells(line: str) -> list[str]:
@@ -84,10 +86,23 @@ def _has_cells(line: str) -> bool:
     return bool(line.strip(_FILLER) or (line.strip() and any(_cells(line))))
 
 
-def _text_lines(raw: bytes) -> list[str]:
-    """The lines of `raw`, decoded and with newlines translated as
-    `open(path)` does it."""
+def _text_lines(raw: bytes, lo: int) -> list[str]:
+    """The lines of `raw`, read from offset `lo` of a file, decoded and
+    with newlines translated as `open(path)` does it. A UTF-8 byte-order
+    mark is dropped at offset 0 only."""
+    if lo == 0 and raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8) :]
     return io.TextIOWrapper(io.BytesIO(raw)).readlines()
+
+
+def _read_lines(path: str, lo: int, hi: int) -> tuple[int, list[int], list[str]]:
+    """The line count of bytes [lo, hi) of `path`, and the index in them
+    and the text of each non-blank line."""
+    with open(path, "rb") as handle:
+        handle.seek(lo)
+        lines = _text_lines(handle.read(hi - lo), lo)
+    keep = [k for k, line in enumerate(lines) if _has_cells(line)]
+    return len(lines), keep, [lines[k] for k in keep]
 
 
 def _all_split_into(width: int, lines: list[str]) -> bool:
@@ -113,14 +128,16 @@ def _first_ragged(width: int, lines: list[str]) -> tuple[int, int] | None:
     return None
 
 
-def _first_line(handle) -> tuple[str, int]:
+def _first_line(name: str, handle) -> tuple[str, int]:
     """The first non-blank line of a binary file, and the offset just
     past the line feed that ends the stretch of bytes holding it."""
+    lo = 0
     for raw in handle:
-        for line in _text_lines(raw):
+        for line in _text_lines(raw, lo):
             if _has_cells(line):
                 return line, handle.tell()
-    raise ValueError("no data rows")
+        lo = handle.tell()
+    raise ValueError(f"{name}: no data rows found")
 
 
 def _block_bounds(handle, first_end: int, size: int) -> list[int]:
@@ -142,111 +159,67 @@ def _block_bounds(handle, first_end: int, size: int) -> list[int]:
 
 def _parse_block(
     path: str, width: int, lo: int, hi: int, start: int | None
-) -> tuple[bool, np.ndarray]:
+) -> tuple[int, tuple[int, int] | None, bool, np.ndarray | None]:
     """Parse the non-blank lines in bytes [lo, hi) of `path`.
 
     `start` is None unless the block holds the file's first non-blank
     line; then it is 1 when that line is a header at full width, else 0.
-    Returns (False, all `width` columns), or, when column 0 below the
-    first line holds text, (True, columns 1 on). Raises ValueError on a
-    ragged line or a data cell that does not parse.
+    Returns the block's line count; (index, cell count) of its first
+    ragged line, or None; whether column 0 below the file's first line
+    holds text; and the values, None where a cell does not parse. The
+    values have all `width` columns, or, when column 0 holds text,
+    columns 1 on.
     """
-    with open(path, "rb") as handle:
-        handle.seek(lo)
-        raw = handle.read(hi - lo)
-    lines = [line for line in _text_lines(raw) if _has_cells(line)]
-    if _first_ragged(width, lines) is not None:
-        raise ValueError("ragged line")
+    count, keep, lines = _read_lines(path, lo, hi)
+    ragged = _first_ragged(width, lines)
+    if ragged is not None:
+        k, found = ragged
+        return count, (keep[k], found), False, None
     skip = start or 0
     if len(lines) == skip:
-        return False, np.empty((0, width))
+        return count, None, False, np.empty((0, width))
     try:
-        return False, _parse(lines[skip:], range(width))
+        return count, None, False, _parse(lines[skip:], range(width))
     except ValueError:
         # the label rule: any non-numeric first cell below the first line
         if _parses(lines[0 if start is None else 1 :], [0]):
-            raise
+            return count, None, False, None
     cols = range(1, width)
     if start is not None:
         skip = 0 if _parses(lines[:1], cols) else 1
-    return True, _parse(lines[skip:], cols)
+    try:
+        return count, None, True, _parse(lines[skip:], cols)
+    except ValueError:
+        return count, None, True, None
 
 
-def _map_blocks(parse, *args) -> list[tuple[bool, np.ndarray]]:
-    """`map(parse, *args)` as a list, with one process per CPU in the
-    affinity mask, where the platform has one, up to one per block."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(args[0]))
-    if workers > 1:
-        import multiprocessing
-
-        # a daemonic process, such as a multiprocessing.Pool worker, may
-        # not start processes of its own
-        if not multiprocessing.current_process().daemon:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # forked workers share the loaded modules: spawned ones would
-            # import numpy again and re-run a caller's main module
-            context = multiprocessing.get_context("fork")
-            chunksize = -(-len(args[0]) // (4 * workers))
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(parse, *args, chunksize=chunksize))
-    return list(map(parse, *args))
-
-
-def _load_blocks(handle, path: str) -> np.ndarray:
-    """The data cells of the file at `path`, open as binary `handle`, or
-    ValueError for any file that `_raise_load_error` rejects."""
-    first, first_end = _first_line(handle)
-    size = handle.seek(0, os.SEEK_END)
-    bounds = _block_bounds(handle, first_end, size)
-    width = len(_cells(first))
-    if width < 3:
-        raise ValueError("fewer than 3 columns")
-    start = 0 if _parses([first], range(width)) else 1  # 1: a header row
-    starts = [start] + [None] * (len(bounds) - 2)
-    parts = _map_blocks(
-        partial(_parse_block, path, width), bounds[:-1], bounds[1:], starts
-    )
-    if any(labelled for labelled, _ in parts):
-        if width < 4:
-            raise ValueError("fewer than 3 columns besides the labels")
-        pieces = [part if labelled else part[:, 1:] for labelled, part in parts]
-        # a first block without labels of its own left out a first line
-        # that failed at full width: without column 0 it may be data
-        if start and not parts[0][0] and _parses([first], range(1, width)):
-            pieces.insert(0, _parse([first], range(1, width)))
-    else:
-        pieces = [part for _, part in parts]
-    values = np.concatenate(pieces)
-    if not len(values) or not np.isfinite(values).all():
-        raise ValueError("no data rows, or a non-finite cell")
-    return values
-
-
-def _ragged(path: str, lineno: int, width: int, found: int) -> ValueError:
+def _ragged(name: str, lineno: int, width: int, found: int) -> ValueError:
     return ValueError(
-        f"{path}: line {lineno}: expected {width} columns, found {found}"
+        f"{name}: line {lineno}: expected {width} columns, found {found}"
     )
 
 
-def _raise_first_bad_cell(
-    path: str, lines: list[str], linenos: list[int], start: int, cols, width: int
-) -> None:
-    """Raise the error for the first ragged, non-numeric or non-finite
-    cell of lines[start:], found by re-parsing blocks, then one line,
-    then one cell at a time with `_parse`. Returns if none is found."""
-    for lo in range(start, len(lines), _LOCATE_ROWS):
-        block = lines[lo : lo + _LOCATE_ROWS]
+def _bad_cell(
+    name: str, path: str, lo: int, hi: int, lineno: int, skip: int, cols, width: int
+) -> ValueError:
+    """The error for the first line in bytes [lo, hi) of `path`, of the
+    non-blank ones after the first `skip`, that has not `width` cells or
+    a non-numeric or non-finite cell in columns `cols`, found by
+    re-parsing runs of lines, then one line, then one cell at a time
+    with `_parse`. `lineno` is the file line number of the first line.
+    A quoted comma can hide a missing cell from `_first_ragged`."""
+    _, keep, lines = _read_lines(path, lo, hi)
+    for at in range(skip, len(lines), _LOCATE_ROWS):
+        run = lines[at : at + _LOCATE_ROWS]
         try:
-            if np.isfinite(_parse(block, cols)).all():
+            if np.isfinite(_parse(run, cols)).all():
                 continue
         except ValueError:
             pass
-        for line, lineno in zip(block, linenos[lo:]):
+        for line, k in zip(run, keep[at:]):
             cells = _cells(line)
             if len(cells) != width:
-                raise _ragged(path, lineno, width, len(cells))
+                return _ragged(name, lineno + k, width, len(cells))
             for j in cols:
                 try:
                     value = _parse([line], [j])[0, 0]
@@ -256,62 +229,61 @@ def _raise_first_bad_cell(
                     if math.isfinite(value):
                         continue
                     kind = "non-finite"
-                raise ValueError(
-                    f"{path}: line {lineno}, column {j + 1}: "
+                return ValueError(
+                    f"{name}: line {lineno + k}, column {j + 1}: "
                     f"{kind} value {cells[j]!r}"
                 )
+    return ValueError(f"{name}: a data cell does not parse")
 
 
-def _raise_load_error(name: str, path: str, cause: ValueError) -> NoReturn:
-    """Raise the first error in the file at `path`, read whole and line
-    by line, reported as `name`'s: no data, a ragged line, a header with
-    no rows below it, fewer than 3 sample columns, or a bad data cell.
-    `cause` is raised if none is found."""
-    with open(path) as handle:
-        lines = handle.readlines()
-    keep = [k for k, line in enumerate(lines) if _has_cells(line)]
-    if not keep:
-        raise ValueError(f"{name}: no data rows found")
-    lines = [lines[k] for k in keep]
-    linenos = [k + 1 for k in keep]
-
-    width = len(_cells(lines[0]))
-    ragged = _first_ragged(width, lines)
-    if ragged is not None:
-        k, found = ragged
-        raise _ragged(name, linenos[k], width, found)
-
-    cols = range(width)
-    start = 0 if _parses(lines[:1], cols) else 1  # 1: a header row
-    if start == len(lines):
+def _load(name: str, handle, path: str) -> DataMatrix:
+    """The matrix in the file at `path`, open as binary `handle`, with
+    errors reported as `name`'s. Each error is the one for the file's
+    first fault, taken in this order: no data, a ragged line, a header
+    with no rows below it, fewer than 3 sample columns, a bad data cell.
+    """
+    first, first_end = _first_line(name, handle)
+    size = handle.seek(0, os.SEEK_END)
+    bounds = _block_bounds(handle, first_end, size)
+    width = len(_cells(first))
+    start = 0 if _parses([first], range(width)) else 1  # 1: a header row
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = ordered_map(
+        partial(_parse_block, path, width),
+        bounds[:-1],
+        bounds[1:],
+        [start] + [None] * (len(bounds) - 2),
+        workers=cpus,
+    )
+    linenos = list(accumulate((count for count, *_ in parts), initial=1))
+    for lineno, (_, ragged, _, _) in zip(linenos, parts):
+        if ragged is not None:
+            k, found = ragged
+            raise _ragged(name, lineno + k, width, found)
+    if start and all(part is not None and not len(part) for *_, part in parts):
         raise ValueError(f"{name}: no data rows below the header")
-    values, error = _try_parse(lines[start:], cols)
-    # label column, looked for only when the full-width body does not
-    # parse: any non-numeric first cell below the first row
-    labels = error is not None and not _parses(lines[1:], [0])
-    if labels:
-        cols = range(1, width)
-        start = 0 if _parses(lines[:1], cols) else 1
+    labels = any(labelled for _, _, labelled, _ in parts)
+    cols = range(1 if labels else 0, width)
     if len(cols) < 3:
         raise ValueError(
             f"{name}: need at least 3 data columns (samples), found {len(cols)}"
         )
 
-    if labels:
-        values, error = _try_parse(lines[start:], cols)
-    if error is not None or not np.isfinite(values).all():
-        _raise_first_bad_cell(name, lines, linenos, start, cols, width)
-    raise error or cause
-
-
-def _load(name: str, handle, path: str) -> DataMatrix:
-    """The matrix in the file at `path`, open as binary `handle`, with
-    errors reported as `name`'s."""
-    try:
-        values = _load_blocks(handle, path)
-    except ValueError as exc:
-        _raise_load_error(name, path, exc)
-    return DataMatrix(values)
+    # a first block without labels of its own left out a first line that
+    # failed at full width: without column 0 it may be data
+    head = labels and start and not parts[0][2] and _parses([first], cols)
+    pieces = []
+    for block, (_, _, labelled, part) in enumerate(parts):
+        if part is not None and labels and not labelled:
+            part = part[:, 1:]
+        if part is not None and head and not block:
+            part = np.concatenate([_parse([first], cols), part])
+        if part is None or not np.isfinite(part).all():
+            skip = 0 if block or _parses([first], cols) else 1
+            lo, hi = bounds[block : block + 2]
+            raise _bad_cell(name, path, lo, hi, linenos[block], skip, cols, width)
+        pieces.append(part)
+    return DataMatrix(np.concatenate(pieces))
 
 
 def load_matrix(path: str) -> DataMatrix:

@@ -10,15 +10,16 @@ tail-mass factor under the alternative.
 
 Replications are embarrassingly parallel. Each replication draws from
 its own counter-based substream keyed by (seed, d, replication, arm).
-A study maps every (d, replication) pair through one ordered `map`,
-the builtin one or a single process pool's, so results come back in
-submission order and a run is byte-identical for any worker count.
+A study maps every (d, replication) pair through `parallel.ordered_map`,
+the pool the CSV loader uses too: at most one forked process per job,
+and a serial map in a daemonic process, which may not start processes.
+Results come back in submission order, so a run is byte-identical for
+any worker count.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 
@@ -28,6 +29,7 @@ from scipy.signal import lfilter
 from .estimators import nr_estimate, score_mse
 from .inference import test_f1, test_f2, test_f3
 from .linalg import DataMatrix
+from .parallel import ordered_map
 from .sampling import (
     Seed,
     make_stream,
@@ -383,17 +385,10 @@ def _test_rep(
 
 def _map_reps(rep_fn, d_list: list[int], reps: int, workers: int) -> np.ndarray:
     """rep_fn(d, rep) for every (d, rep), in submission order, as an
-    array of shape (len(d_list), reps, k). The pool has at most one
-    process per job."""
+    array of shape (len(d_list), reps, k)."""
     ds = [d for d in d_list for _ in range(reps)]
     rs = [rep for _ in d_list for rep in range(reps)]
-    workers = min(workers, len(ds))
-    if workers <= 1:
-        results = list(map(rep_fn, ds, rs))
-    else:
-        chunksize = -(-len(ds) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(rep_fn, ds, rs, chunksize=chunksize))
+    results = ordered_map(rep_fn, ds, rs, workers=workers)
     return np.array(results, dtype=np.float64).reshape(len(d_list), reps, -1)
 
 

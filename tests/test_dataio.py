@@ -18,18 +18,23 @@ from nrpca.linalg import DataMatrix
 BLOCK_SIZES = (dataio._BLOCK_BYTES, 40)
 
 
-def _at_each_block_size(monkeypatch):
-    """Yield once per block size, with the small one parsed by a pool."""
+def _at_each_block_size(monkeypatch, cores=(2,)):
+    """Yield once per block size, and at the small one once per count of
+    usable cores."""
     for size in BLOCK_SIZES:
-        with monkeypatch.context() as patch:
-            if size != dataio._BLOCK_BYTES:
-                patch.setattr(dataio, "_BLOCK_BYTES", size)
-                patch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
-            yield size
+        for count in cores if size != dataio._BLOCK_BYTES else (None,):
+            with monkeypatch.context() as patch:
+                if count is not None:
+                    patch.setattr(dataio, "_BLOCK_BYTES", size)
+                    cpus = set(range(count))
+                    patch.setattr(dataio.os, "sched_getaffinity", lambda pid: cpus)
+                yield size
 
 
 def _raises_at_each_block_size(monkeypatch, path, message):
-    for _ in _at_each_block_size(monkeypatch):
+    # errors are found block by block: one core, a pool of two, and a
+    # pool of one process per block name the same line and column
+    for _ in _at_each_block_size(monkeypatch, cores=(1, 2, 8)):
         with pytest.raises(ValueError, match=re.escape(message)):
             load_matrix(str(path))
 
@@ -93,6 +98,11 @@ def test_load_matrix_ragged_reports_line(tmp_path, monkeypatch):
     lines[100] = "1,x,3"
     path.write_text("\n".join(lines) + "\n")
     _raises_at_each_block_size(monkeypatch, path, message)
+    # blank lines in earlier blocks count toward the line number
+    lines[1000:1000] = ["", " ,, "] * 150
+    path.write_text("\n".join(lines) + "\n")
+    message = "line 2801: expected 3 columns, found 2"
+    _raises_at_each_block_size(monkeypatch, path, message)
 
 
 def test_load_matrix_bad_cell_reports_position(tmp_path, monkeypatch):
@@ -129,6 +139,50 @@ def test_load_matrix_bad_cell_reports_position(tmp_path, monkeypatch):
     path.write_text("\n".join(lines) + "\n")
     message = "line 2501, column 4: non-finite value 'inf'"
     _raises_at_each_block_size(monkeypatch, path, message)
+
+
+def test_load_matrix_error_search_stays_in_one_block(tmp_path, monkeypatch):
+    # 30 lines of 20 bytes: 3 blocks of 200 bytes, cut after lines 10 and
+    # 20; a bad cell in the last block is named by re-parsing that block
+    lines = [",".join(str(1000 + 4 * i + j) for j in range(4)) for i in range(30)]
+    lines[24] = "1096,oops,1098,1099"
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    block = {line + "\n": i // 10 for i, line in enumerate(lines)}
+    calls = []
+    parse = dataio._parse
+
+    def recording(lines, cols):
+        calls.append(lines)
+        return parse(lines, cols)
+
+    monkeypatch.setattr(dataio, "_parse", recording)
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 200)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0})
+    message = "line 25, column 2: non-numeric value 'oops'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_matrix(str(path))
+    assert len(calls) > 3
+    assert all(len({block[line] for line in lines}) == 1 for lines in calls)
+
+
+def test_load_matrix_drops_a_leading_byte_order_mark(tmp_path, monkeypatch):
+    # as Excel writes UTF-8: the mark at offset 0 is no header cell
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2,3\n4,5,6\n7,8,9\n")
+    rows = np.array([[1.0, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for _ in _at_each_block_size(monkeypatch):
+        assert load_matrix(str(path)).values.tobytes() == rows.tobytes()
+    path.write_bytes(b"\xef\xbb\xbfgene,s1,s2,s3\r\ng1,1,2,3\r\ng2,4,5,6\r\n")
+    for _ in _at_each_block_size(monkeypatch):
+        assert load_matrix(str(path)).values.tobytes() == rows[:2].tobytes()
+    # anywhere else the mark is a character of a cell
+    path.write_text("1,2,3\n4,\ufeff5,6\n", encoding="utf-8")
+    message = "line 2, column 2: non-numeric value '\\ufeff5'"
+    _raises_at_each_block_size(monkeypatch, path, message)
+    path.write_text("\n\ufeff1,2,3\n4,5,6\n", encoding="utf-8")
+    for _ in _at_each_block_size(monkeypatch):
+        assert load_matrix(str(path)).values.tobytes() == rows[1:2].tobytes()
 
 
 def _reference_load(path):

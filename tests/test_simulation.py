@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from nrpca import dataio, simulation
+from nrpca import dataio
 from nrpca.dataio import load_matrix
 from nrpca.sampling import make_stream, sample_std_normal
 from nrpca.simulation import (
@@ -262,12 +262,12 @@ def test_process_pool_capped_at_job_count(monkeypatch):
     # 3 jobs per study at 8 workers: the pool gets 3 processes, not 8
     sizes = []
 
-    class RecordingPool(simulation.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             sizes.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     pooled = run_estimation_mc(
         "b", [8], n=10, reps=3, seed=2, workers=8, keep_samples=True
     )
@@ -325,6 +325,18 @@ def test_load_matrix_in_a_daemonic_process(tmp_path, monkeypatch):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         loaded = pool.apply_async(load_matrix, (str(path),)).get(timeout=60)
     assert loaded.values.tobytes() == values.tobytes()
+
+
+def test_simulate_in_a_daemonic_process():
+    # a multiprocessing.Pool worker may not start processes: it runs
+    # every replication itself, with the rows of a pooled run
+    pooled = run_estimation_mc("b", [8], reps=3, seed=4, workers=2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        job = pool.apply_async(
+            run_estimation_mc, ("b", [8]), {"reps": 3, "seed": 4, "workers": 2}
+        )
+        nested = job.get(timeout=60)
+    assert nested.rows == pooled.rows
 
 
 def test_run_estimation_mc_keep_samples_shapes():
