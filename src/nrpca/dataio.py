@@ -27,7 +27,8 @@ ragged line and whether its column 0 holds text, without raising; the
 header, label and width rules are applied once, to the whole file.
 Only a block that holds a bad cell is read again, from its own bytes,
 to name the first bad line and column. A UTF-8 byte-order mark is
-dropped at offset 0 and nowhere else.
+dropped at offset 0 and nowhere else. Bytes that are not UTF-8 are an
+error naming their line and their byte in it.
 
 Saving uses 17 significant digits so a save/load round trip reproduces
 every float bit for bit.
@@ -86,23 +87,47 @@ def _has_cells(line: str) -> bool:
     return bool(line.strip(_FILLER) or (line.strip() and any(_cells(line))))
 
 
-def _text_lines(raw: bytes, lo: int) -> list[str]:
-    """The lines of `raw`, read from offset `lo` of a file, decoded and
-    with newlines translated as `open(path)` does it. A UTF-8 byte-order
-    mark is dropped at offset 0 only."""
-    if lo == 0 and raw.startswith(codecs.BOM_UTF8):
-        raw = raw[len(codecs.BOM_UTF8) :]
+def _decode(raw: bytes) -> list[str]:
     return io.TextIOWrapper(io.BytesIO(raw)).readlines()
 
 
-def _read_lines(path: str, lo: int, hi: int) -> tuple[int, list[int], list[str]]:
-    """The line count of bytes [lo, hi) of `path`, and the index in them
-    and the text of each non-blank line."""
+def _text_lines(raw: bytes, lo: int) -> tuple[list[str], str | None]:
+    """The lines of `raw`, read from offset `lo` of a file, decoded and
+    with newlines translated as `open(path)` does it, and None. Where
+    `raw` is not UTF-8, only the lines before the first one that is not,
+    and the error text for that line. A UTF-8 byte-order mark is dropped
+    at offset 0 only."""
+    if lo == 0 and raw.startswith(codecs.BOM_UTF8):
+        raw = raw[len(codecs.BOM_UTF8) :]
+    try:
+        return _decode(raw), None
+    except UnicodeDecodeError:
+        # that position counts from the decoder's chunk, this one from
+        # the start of `raw`
+        try:
+            raw.decode()
+        except UnicodeDecodeError as err:
+            bad = err
+    lines = _decode(raw[: bad.start])
+    head = lines.pop() if lines and not lines[-1].endswith("\n") else ""
+    return lines, (
+        f"byte {len(head.encode()) + 1} (0x{raw[bad.start]:02x}) "
+        f"is not UTF-8: {bad.reason}"
+    )
+
+
+def _read_lines(
+    path: str, lo: int, hi: int
+) -> tuple[int, list[int], list[str], str | None]:
+    """The line count of bytes [lo, hi) of `path`, the index in them and
+    the text of each non-blank line, and None; or, where the bytes are
+    not UTF-8, the same for the lines before the first that is not, and
+    the error text for that line."""
     with open(path, "rb") as handle:
         handle.seek(lo)
-        lines = _text_lines(handle.read(hi - lo), lo)
+        lines, undecodable = _text_lines(handle.read(hi - lo), lo)
     keep = [k for k, line in enumerate(lines) if _has_cells(line)]
-    return len(lines), keep, [lines[k] for k in keep]
+    return len(lines), keep, [lines[k] for k in keep], undecodable
 
 
 def _all_split_into(width: int, lines: list[str]) -> bool:
@@ -128,15 +153,27 @@ def _first_ragged(width: int, lines: list[str]) -> tuple[int, int] | None:
     return None
 
 
+def _ragged(width: int, found: int) -> str:
+    return f"expected {width} columns, found {found}"
+
+
+def _fault(name: str, lineno: int, text: str) -> ValueError:
+    return ValueError(f"{name}: line {lineno}: {text}")
+
+
 def _first_line(name: str, handle) -> tuple[str, int]:
     """The first non-blank line of a binary file, and the offset just
     past the line feed that ends the stretch of bytes holding it."""
-    lo = 0
+    lo = seen = 0
     for raw in handle:
-        for line in _text_lines(raw, lo):
+        lines, undecodable = _text_lines(raw, lo)
+        for line in lines:
             if _has_cells(line):
                 return line, handle.tell()
+        if undecodable is not None:
+            raise _fault(name, seen + len(lines) + 1, undecodable)
         lo = handle.tell()
+        seen += len(lines)
     raise ValueError(f"{name}: no data rows found")
 
 
@@ -159,22 +196,24 @@ def _block_bounds(handle, first_end: int, size: int) -> list[int]:
 
 def _parse_block(
     path: str, width: int, lo: int, hi: int, start: int | None
-) -> tuple[int, tuple[int, int] | None, bool, np.ndarray | None]:
+) -> tuple[int, tuple[int, str] | None, bool, np.ndarray | None]:
     """Parse the non-blank lines in bytes [lo, hi) of `path`.
 
     `start` is None unless the block holds the file's first non-blank
     line; then it is 1 when that line is a header at full width, else 0.
-    Returns the block's line count; (index, cell count) of its first
-    ragged line, or None; whether column 0 below the file's first line
-    holds text; and the values, None where a cell does not parse. The
-    values have all `width` columns, or, when column 0 holds text,
-    columns 1 on.
+    Returns the block's line count; the index and error text of its
+    first ragged or not UTF-8 line, or None; whether column 0 below the
+    file's first line holds text; and the values, None where a cell does
+    not parse. The values have all `width` columns, or, when column 0
+    holds text, columns 1 on.
     """
-    count, keep, lines = _read_lines(path, lo, hi)
+    count, keep, lines, undecodable = _read_lines(path, lo, hi)
     ragged = _first_ragged(width, lines)
     if ragged is not None:
         k, found = ragged
-        return count, (keep[k], found), False, None
+        return count, (keep[k], _ragged(width, found)), False, None
+    if undecodable is not None:
+        return count, (count, undecodable), False, None
     skip = start or 0
     if len(lines) == skip:
         return count, None, False, np.empty((0, width))
@@ -193,12 +232,6 @@ def _parse_block(
         return count, None, True, None
 
 
-def _ragged(name: str, lineno: int, width: int, found: int) -> ValueError:
-    return ValueError(
-        f"{name}: line {lineno}: expected {width} columns, found {found}"
-    )
-
-
 def _bad_cell(
     name: str, path: str, lo: int, hi: int, lineno: int, skip: int, cols, width: int
 ) -> ValueError:
@@ -208,7 +241,7 @@ def _bad_cell(
     re-parsing runs of lines, then one line, then one cell at a time
     with `_parse`. `lineno` is the file line number of the first line.
     A quoted comma can hide a missing cell from `_first_ragged`."""
-    _, keep, lines = _read_lines(path, lo, hi)
+    _, keep, lines, _ = _read_lines(path, lo, hi)
     for at in range(skip, len(lines), _LOCATE_ROWS):
         run = lines[at : at + _LOCATE_ROWS]
         try:
@@ -219,7 +252,7 @@ def _bad_cell(
         for line, k in zip(run, keep[at:]):
             cells = _cells(line)
             if len(cells) != width:
-                return _ragged(name, lineno + k, width, len(cells))
+                return _fault(name, lineno + k, _ragged(width, len(cells)))
             for j in cols:
                 try:
                     value = _parse([line], [j])[0, 0]
@@ -239,8 +272,9 @@ def _bad_cell(
 def _load(name: str, handle, path: str) -> DataMatrix:
     """The matrix in the file at `path`, open as binary `handle`, with
     errors reported as `name`'s. Each error is the one for the file's
-    first fault, taken in this order: no data, a ragged line, a header
-    with no rows below it, fewer than 3 sample columns, a bad data cell.
+    first fault, taken in this order: no data, a ragged or not UTF-8
+    line, a header with no rows below it, fewer than 3 sample columns, a
+    bad data cell.
     """
     first, first_end = _first_line(name, handle)
     size = handle.seek(0, os.SEEK_END)
@@ -256,10 +290,10 @@ def _load(name: str, handle, path: str) -> DataMatrix:
         workers=cpus,
     )
     linenos = list(accumulate((count for count, *_ in parts), initial=1))
-    for lineno, (_, ragged, _, _) in zip(linenos, parts):
-        if ragged is not None:
-            k, found = ragged
-            raise _ragged(name, lineno + k, width, found)
+    for lineno, (_, fault, _, _) in zip(linenos, parts):
+        if fault is not None:
+            k, text = fault
+            raise _fault(name, lineno + k, text)
     if start and all(part is not None and not len(part) for *_, part in parts):
         raise ValueError(f"{name}: no data rows below the header")
     labels = any(labelled for _, _, labelled, _ in parts)

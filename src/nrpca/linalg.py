@@ -101,14 +101,15 @@ def dual_covariance(xc: np.ndarray) -> SymMatrix:
 
 
 def _apply_sign_convention(vectors: np.ndarray) -> None:
-    # flip each column so its largest-magnitude component is positive;
-    # the flip goes through a fresh temporary because in-place ufuncs on
-    # column views corrupt data for some strides under this numpy build
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        lead = np.argmax(np.abs(col))
-        if col[lead] < 0.0:
-            vectors[:, j] = -col
+    # flip each column so its largest-magnitude component (the first of
+    # ties) is positive; the flip goes through a fresh temporary because
+    # in-place ufuncs on column views corrupt data for some strides under
+    # this numpy build
+    if not vectors.size:
+        return
+    lead = np.argmax(np.abs(vectors), axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    vectors[:, flip] = -vectors[:, flip]
 
 
 def sym_eigen(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:

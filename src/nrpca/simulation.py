@@ -13,8 +13,10 @@ its own counter-based substream keyed by (seed, d, replication, arm).
 A study maps every (d, replication) pair through `parallel.ordered_map`,
 the pool the CSV loader uses too: at most one forked process per job,
 and a serial map in a daemonic process, which may not start processes.
-Results come back in submission order, so a run is byte-identical for
-any worker count.
+Jobs are submitted largest d first, so the pool's last chunks are the
+cheapest, and the results are put back in (d, replication) order. As
+each replication is a pure function of (seed, d, replication), a run is
+byte-identical for any worker count and any order of the d values.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .linalg import DataMatrix
 from .parallel import ordered_map
 from .sampling import (
     Seed,
+    _polar_normals,
     make_stream,
     sample_scaled_t_vector,
     sample_std_normal,
@@ -157,19 +160,18 @@ def gen_spiked(scenario: SpikeScenario, rng: np.random.Generator) -> SpikedSampl
     d_star = math.isqrt(d)
     if d_star * d_star < d:
         d_star += 1
-    z_gauss = sample_std_normal(rng, (d - d_star, n))
-    z_heavy = sample_scaled_t_vector(rng, d_star, _T_DF, n)
-    z = np.vstack((z_gauss, z_heavy))
+    z = np.empty((d, n))
+    gauss = d - d_star
+    _polar_normals(rng, gauss * n, out=z.reshape(-1)[: gauss * n])
+    z[gauss:] = sample_scaled_t_vector(rng, d_star, _T_DF, n)
     lam = spike_eigenvalues(scenario.model, d)
-    x = np.sqrt(lam)[:, None] * z
+    lambda1 = float(lam[0])
+    true_scores = math.sqrt(lambda1) * z[0]
+    z *= np.sqrt(lam)[:, None]
     h1 = np.zeros(d)
     h1[0] = 1.0
-    lambda1 = float(lam[0])
     return SpikedSample(
-        x=DataMatrix(x),
-        lambda1=lambda1,
-        h1=h1,
-        true_scores=math.sqrt(lambda1) * z[0],
+        x=DataMatrix(z), lambda1=lambda1, h1=h1, true_scores=true_scores
     )
 
 
@@ -384,12 +386,16 @@ def _test_rep(
 
 
 def _map_reps(rep_fn, d_list: list[int], reps: int, workers: int) -> np.ndarray:
-    """rep_fn(d, rep) for every (d, rep), in submission order, as an
-    array of shape (len(d_list), reps, k)."""
-    ds = [d for d in d_list for _ in range(reps)]
-    rs = [rep for _ in d_list for rep in range(reps)]
+    """rep_fn(d, rep) for every (d, rep), as an array of shape
+    (len(d_list), reps, k) in (d, rep) order. The jobs are submitted
+    largest d first, Graham's longest-processing-time-first rule, so no
+    pool worker is left alone with a chunk of the costliest ones."""
+    order = sorted(range(len(d_list)), key=lambda i: -d_list[i])
+    ds = [d_list[i] for i in order for _ in range(reps)]
+    rs = [rep for _ in order for rep in range(reps)]
     results = ordered_map(rep_fn, ds, rs, workers=workers)
-    return np.array(results, dtype=np.float64).reshape(len(d_list), reps, -1)
+    values = np.array(results, dtype=np.float64).reshape(len(d_list), reps, -1)
+    return values[np.argsort(order)]
 
 
 def _mean_var_se(values: np.ndarray) -> tuple[float, float, float]:

@@ -185,6 +185,36 @@ def test_load_matrix_drops_a_leading_byte_order_mark(tmp_path, monkeypatch):
         assert load_matrix(str(path)).values.tobytes() == rows[1:2].tobytes()
 
 
+def test_load_matrix_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, monkeypatch):
+    # 121-byte lines: file offset 37512 is byte 3 of line 311; the
+    # position does not depend on the block size or the decoder's chunks
+    x = np.random.default_rng(3).normal(size=(3000, 11))
+    raw = bytearray(
+        "".join(",".join(f"{v:+.3e}" for v in row) + "\n" for row in x).encode()
+    )
+    raw[37512] = 0xFF
+    path = tmp_path / "latin.csv"
+    path.write_bytes(bytes(raw))
+    message = f"{path}: line 311: byte 3 (0xff) is not UTF-8: invalid start byte"
+    _raises_at_each_block_size(monkeypatch, path, message)
+    # the first of it and a ragged line is reported
+    for line, expected in ((400, message), (6, "line 6: expected 11 columns, found 2")):
+        cut = bytearray(raw)
+        cut[121 * (line - 1) : 121 * (line - 1) + 4] = b"1,2\n"
+        path.write_bytes(bytes(cut))
+        _raises_at_each_block_size(monkeypatch, path, expected)
+    # found while looking for the first line, with CR and CRLF endings,
+    # and after a two-byte character, in bytes
+    for data, message in (
+        (b"1,2,3\n\xc3\xa9,\xff,6\n", "line 2: byte 4 (0xff)"),
+        (b"\n \r\n\xff1,2,3\n4,5,6\n", "line 3: byte 1 (0xff)"),
+        (b"\xef\xbb\xbf\r\r1,\xe2\x82,3\r", "line 3: byte 3 (0xe2) is not UTF-8: invalid continuation byte"),
+        (b"1,2,3\r\n4,5,6\r\n7,8,9\xe2\x82", "line 3: byte 6 (0xe2) is not UTF-8: unexpected end of data"),
+    ):
+        path.write_bytes(data)
+        _raises_at_each_block_size(monkeypatch, path, message)
+
+
 def _reference_load(path):
     """The cell-by-cell loader: csv.reader, then float() on every cell."""
 

@@ -13,6 +13,7 @@ from scipy import linalg as sla
 from nrpca.linalg import (
     DataMatrix,
     SymMatrix,
+    _apply_sign_convention,
     center_columns,
     dual_covariance,
     sym_eigen,
@@ -117,6 +118,30 @@ def test_sign_flip_keeps_columns_intact():
         for j in range(m):
             lead = np.argmax(np.abs(v[:, j]))
             assert v[lead, j] > 0.0
+
+
+def _loop_sign_convention(vectors):
+    # the column-by-column form the vectorized convention replaced
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        lead = np.argmax(np.abs(col))
+        if col[lead] < 0.0:
+            vectors[:, j] = -col
+
+
+def test_sign_convention_matches_the_column_loop():
+    rng = np.random.default_rng(31)
+    cases = [rng.normal(size=(m, k)) for m, k in ((1, 1), (5, 5), (8, 8), (20, 7))]
+    # ties in magnitude, the first of them negative or positive
+    cases.append(np.array([[-2.0, 2.0, 1.0], [2.0, -2.0, -1.0], [1.0, 0.5, 1.0]]))
+    # zero and negative-zero columns, which stay as they are
+    cases.append(np.array([[0.0, -0.0, -1.0], [0.0, -0.0, 0.0]]))
+    cases.append(np.empty((0, 0)))
+    for values in cases:
+        want, got = values.copy(), values.copy()
+        _loop_sign_convention(want)
+        _apply_sign_convention(got)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_sym_eigen_reconstruction():

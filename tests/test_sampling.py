@@ -3,8 +3,11 @@
 The splitmix64 vectors are frozen from an independent straight-line
 transcription of the published algorithm. Moment bands are several
 standard errors wide for the pinned draw counts, so they are stable
-for any fixed stream.
+for any fixed stream. The sha256 digests pin the draw streams bit for
+bit; a change to them changes every seeded result.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -130,3 +133,45 @@ def test_scaled_t_requires_df_at_least_3():
 def test_scaled_t_single_vector_shape():
     vec = sample_scaled_t_vector(make_stream(6), 3, 10)
     assert vec.shape == (3,)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+# one or two draws from the last pair, and one or several rejection rounds
+NORMAL_DIGESTS = {
+    1: "f47f65ee2798f103dbd089e2be8e55d9ff21aeafc075f916b4d0cbccefc91c72",
+    2: "988bd274be65a5dd8dc8d5fc44c8f6f57ac60770b631625414e474d48836a94f",
+    3: "38942d2c52e17088fd36c8844cfb57e222f9be6864f43c69d71502184415861f",
+    41: "8b9b5bf170bfd0b5c2bc2a4468444e0755de48e3901e82e2d76cece12130f864",
+    20480: "3d3629daddb0c356eaba7d66f68239e627e6db275427524687fc076d3d234eb5",
+    61441: "ee174d40f74dbb464aee27350815201bba6c69a6f29434151696b99b1f78b0c1",
+    81920: "c38453383ca9fa62d79b7852b8fe88087b4455568ff5ee03b9a2ddcbf4df5714",
+}
+
+
+@pytest.mark.parametrize("count", sorted(NORMAL_DIGESTS))
+def test_normal_stream_is_frozen(count):
+    draws = sample_std_normal(make_stream(2024, count), count)
+    assert _digest(draws) == NORMAL_DIGESTS[count]
+
+
+def test_chi2_and_scaled_t_streams_are_frozen():
+    assert _digest(sample_std_normal(make_stream(5))) == (
+        "1c86640be45b99e6d7283058661295269f2a8137c37c251f3436e1ecfc88fe71"
+    )
+    chi2 = (sample_chi2(make_stream(11), 4, 1000), sample_chi2(make_stream(12), 1))
+    assert _digest(*chi2) == (
+        "6e8c8c2ce032a3a498c3f1800e90ea504b1e6d1015efe2de88bc8a500b39218a"
+    )
+    t = (
+        sample_scaled_t_vector(make_stream(13), 31, 10, 10),
+        sample_scaled_t_vector(make_stream(14), 5, 3),
+    )
+    assert _digest(*t) == (
+        "d75e3a2ed2b1b9f27511339785befeeb9dc4cae4bce3804599a62b74d1d0d839"
+    )

@@ -3,10 +3,12 @@
 Every generator here has an exact population covariance, so the oracles
 are either algebraic (eigenvalues of the loading matrices, bit-level
 recursions) or large-sample moment checks with bands a few standard
-errors wide.
+errors wide. The sha256 digests pin the generated data and the Monte
+Carlo output bit for bit.
 """
 
 import concurrent.futures
+import hashlib
 import math
 import multiprocessing
 import os
@@ -409,3 +411,84 @@ def test_run_test_mc_worker_count_invariant():
             keep_samples=True,
         )
         _assert_same_summary(a, b)
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "model,d,expected",
+    [
+        ("a", 8, "45f50113d02b19d4fd7ae220d600baae61f5f9d33da1e9cae250c38caa71ccde"),
+        ("a", 8192, "2ece7b0282eb56630729da872c4eed6885aef7b53d6d9b4b5b62197fd39ec99a"),
+        ("b", 8, "f60f54cae4f76e36441722cce000e76cff7ae8f8c99f7d44d013f5be29f356c4"),
+        ("b", 8192, "f91dba37b72dfa55091cbc14c2e6ea47b8d9055de18d48735876071333eda57e"),
+    ],
+)
+def test_gen_spiked_is_frozen(model, d, expected):
+    draw = gen_spiked(SpikeScenario(model=model, d=d, n=10, seed=0), make_stream(9, d))
+    assert _digest(draw.x.values, draw.true_scores, draw.h1, draw.lambda1) == expected
+
+
+@pytest.mark.parametrize(
+    "hypothesis,d,expected",
+    [
+        ("H0", 8, "55a4ece5c9c0497b8c06d3400836d231cffa664d900fe8e3cb5e9f66ca5b3a28"),
+        ("H0", 2048, "43bb6768ab89cc4f8cae769550a2b92943ccf3a673583a05cd47eb090308ebe1"),
+        ("Ha", 8, "ae2386ad3a824254c9edcc1be4fd0157ec75181b78b0efb54d6bba52463ef949"),
+        ("Ha", 2048, "089f5a4f9bc656b8b65353b8012c6a85171d7cee7111cfcf1b1c346bcc14eaa7"),
+    ],
+)
+def test_gen_two_sample_is_frozen(hypothesis, d, expected):
+    scenario = TwoSampleScenario(hypothesis=hypothesis, d=d, n1=10, n2=20, seed=0)
+    draw = gen_two_sample(scenario, make_stream(4, d))
+    assert _digest(draw.x1.values, draw.x2.values) == expected
+
+
+def _summary_digest(summary) -> str:
+    h = hashlib.sha256(repr(summary.as_records()).encode())
+    for key, values in summary.samples.items():
+        h.update(repr(key).encode())
+        h.update(values.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_monte_carlo_output_is_frozen(workers):
+    est = run_estimation_mc(
+        "b", [512, 8, 64], n=10, reps=6, seed=5, workers=workers, keep_samples=True
+    )
+    assert _summary_digest(est) == (
+        "cb8e21f63c1043075e470421ff08dbef7d066923612d52b5dfb2828c54d21f73"
+    )
+    tests = run_test_mc(
+        [64, 16], n1=10, n2=20, reps=8, seed=3, workers=workers, keep_samples=True
+    )
+    assert _summary_digest(tests) == (
+        "b087f5ac47569417e29f94a56f0d45392ea59d645b49ad18a3c554ecd93b4dc2"
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rows_follow_the_callers_d_order(workers):
+    # jobs run largest d first; rows and samples come back as asked
+    for run in (
+        lambda ds: run_estimation_mc(
+            "b", ds, n=10, reps=4, seed=8, workers=workers, keep_samples=True
+        ),
+        lambda ds: run_test_mc(
+            ds, n1=5, n2=6, reps=4, seed=8, workers=workers, keep_samples=True
+        ),
+    ):
+        shuffled = run([2048, 64, 512])
+        ascending = run([64, 512, 2048])
+        assert [row.d for row in shuffled.rows] == [2048, 64, 512]
+        by_d = {row.d: row for row in ascending.rows}
+        assert all(row == by_d[row.d] for row in shuffled.rows)
+        assert sorted(shuffled.samples) == sorted(ascending.samples)
+        for key, values in shuffled.samples.items():
+            assert values.tobytes() == ascending.samples[key].tobytes()
