@@ -13,7 +13,8 @@ allowed. `inf` and `nan` parse but are rejected as non-finite. Python's
 numbers. numpy's C tokenizer, with the settings in `_SPLIT`, and its
 float parser decide blank lines, row widths, the header and label
 layout, the values and the error positions alike, so these never
-disagree. A quoted cell cannot span lines.
+disagree. A quoted cell cannot span lines: a line that ends inside one
+is an error naming that line, so it never runs on into the next.
 
 The file is parsed in blocks of `_BLOCK_BYTES`, each cut just after a
 line feed, so no line spans two blocks. A file of more than one block
@@ -28,7 +29,10 @@ header, label and width rules are applied once, to the whole file.
 Only a block that holds a bad cell is read again, from its own bytes,
 to name the first bad line and column. A UTF-8 byte-order mark is
 dropped at offset 0 and nowhere else. Bytes that are not UTF-8 are an
-error naming their line and their byte in it.
+error naming their line and their byte in it. Every line is read on its
+own for these two faults and for its width, so the first faulty line in
+the file is the one reported at any block size. A block without a quote
+mark is not searched for an open quote.
 
 Saving uses 17 significant digits so a save/load round trip reproduces
 every float bit for bit.
@@ -41,6 +45,7 @@ import csv
 import io
 import math
 import os
+import re
 import string
 from functools import partial
 from itertools import accumulate
@@ -61,6 +66,12 @@ _FILLER = string.whitespace + ',"'
 _BLOCK_BYTES = 4 << 20
 # rows re-parsed at once while looking for the first bad row
 _LOCATE_ROWS = 1024
+# a line that ends inside a quoted cell, as `_SPLIT` tokenizes it: a
+# quote opens a cell only as its first character, a doubled quote inside
+# one is a quote mark, and after the closing quote the cell runs on as
+# plain text to the next comma
+_QUOTED = r'"[^"]*+(?:""[^"]*+)*+'
+_OPEN_QUOTE = re.compile(rf'(?:(?:{_QUOTED}"[^,]*+|[^,"][^,]*+)?+,)*+{_QUOTED}')
 
 
 def _parse(lines: list[str], cols) -> np.ndarray:
@@ -93,14 +104,14 @@ def _decode(raw: bytes) -> list[str]:
 
 def _text_lines(raw: bytes, lo: int) -> tuple[list[str], str | None]:
     """The lines of `raw`, read from offset `lo` of a file, decoded and
-    with newlines translated as `open(path)` does it, and None. Where
-    `raw` is not UTF-8, only the lines before the first one that is not,
-    and the error text for that line. A UTF-8 byte-order mark is dropped
-    at offset 0 only."""
+    with newlines translated as `open(path)` does it, and None. Where a
+    line is not UTF-8 or ends inside a quoted cell, only the lines before
+    the first such line, and the error text for it. A UTF-8 byte-order
+    mark is dropped at offset 0 only."""
     if lo == 0 and raw.startswith(codecs.BOM_UTF8):
         raw = raw[len(codecs.BOM_UTF8) :]
     try:
-        return _decode(raw), None
+        lines, fault = _decode(raw), None
     except UnicodeDecodeError:
         # that position counts from the decoder's chunk, this one from
         # the start of `raw`
@@ -108,26 +119,31 @@ def _text_lines(raw: bytes, lo: int) -> tuple[list[str], str | None]:
             raw.decode()
         except UnicodeDecodeError as err:
             bad = err
-    lines = _decode(raw[: bad.start])
-    head = lines.pop() if lines and not lines[-1].endswith("\n") else ""
-    return lines, (
-        f"byte {len(head.encode()) + 1} (0x{raw[bad.start]:02x}) "
-        f"is not UTF-8: {bad.reason}"
-    )
+        lines = _decode(raw[: bad.start])
+        head = lines.pop() if lines and not lines[-1].endswith("\n") else ""
+        fault = (
+            f"byte {len(head.encode()) + 1} (0x{raw[bad.start]:02x}) "
+            f"is not UTF-8: {bad.reason}"
+        )
+    if b'"' in raw:
+        for k, line in enumerate(lines):
+            if '"' in line and _OPEN_QUOTE.fullmatch(line):
+                return lines[:k], "a quoted cell is not closed on this line"
+    return lines, fault
 
 
 def _read_lines(
     path: str, lo: int, hi: int
 ) -> tuple[int, list[int], list[str], str | None]:
     """The line count of bytes [lo, hi) of `path`, the index in them and
-    the text of each non-blank line, and None; or, where the bytes are
-    not UTF-8, the same for the lines before the first that is not, and
-    the error text for that line."""
+    the text of each non-blank line, and None; or, where a line is not
+    UTF-8 or ends inside a quoted cell, the same for the lines before
+    the first such line, and the error text for it."""
     with open(path, "rb") as handle:
         handle.seek(lo)
-        lines, undecodable = _text_lines(handle.read(hi - lo), lo)
+        lines, fault = _text_lines(handle.read(hi - lo), lo)
     keep = [k for k, line in enumerate(lines) if _has_cells(line)]
-    return len(lines), keep, [lines[k] for k in keep], undecodable
+    return len(lines), keep, [lines[k] for k in keep], fault
 
 
 def _all_split_into(width: int, lines: list[str]) -> bool:
@@ -166,12 +182,12 @@ def _first_line(name: str, handle) -> tuple[str, int]:
     past the line feed that ends the stretch of bytes holding it."""
     lo = seen = 0
     for raw in handle:
-        lines, undecodable = _text_lines(raw, lo)
+        lines, fault = _text_lines(raw, lo)
         for line in lines:
             if _has_cells(line):
                 return line, handle.tell()
-        if undecodable is not None:
-            raise _fault(name, seen + len(lines) + 1, undecodable)
+        if fault is not None:
+            raise _fault(name, seen + len(lines) + 1, fault)
         lo = handle.tell()
         seen += len(lines)
     raise ValueError(f"{name}: no data rows found")
@@ -202,18 +218,18 @@ def _parse_block(
     `start` is None unless the block holds the file's first non-blank
     line; then it is 1 when that line is a header at full width, else 0.
     Returns the block's line count; the index and error text of its
-    first ragged or not UTF-8 line, or None; whether column 0 below the
-    file's first line holds text; and the values, None where a cell does
-    not parse. The values have all `width` columns, or, when column 0
-    holds text, columns 1 on.
+    first ragged, not UTF-8 or open-quoted line, or None; whether column
+    0 below the file's first line holds text; and the values, None where
+    a cell does not parse. The values have all `width` columns, or, when
+    column 0 holds text, columns 1 on.
     """
-    count, keep, lines, undecodable = _read_lines(path, lo, hi)
+    count, keep, lines, fault = _read_lines(path, lo, hi)
     ragged = _first_ragged(width, lines)
     if ragged is not None:
         k, found = ragged
         return count, (keep[k], _ragged(width, found)), False, None
-    if undecodable is not None:
-        return count, (count, undecodable), False, None
+    if fault is not None:
+        return count, (count, fault), False, None
     skip = start or 0
     if len(lines) == skip:
         return count, None, False, np.empty((0, width))
@@ -272,9 +288,9 @@ def _bad_cell(
 def _load(name: str, handle, path: str) -> DataMatrix:
     """The matrix in the file at `path`, open as binary `handle`, with
     errors reported as `name`'s. Each error is the one for the file's
-    first fault, taken in this order: no data, a ragged or not UTF-8
-    line, a header with no rows below it, fewer than 3 sample columns, a
-    bad data cell.
+    first fault, taken in this order: no data, a ragged, not UTF-8 or
+    open-quoted line, a header with no rows below it, fewer than 3
+    sample columns, a bad data cell.
     """
     first, first_end = _first_line(name, handle)
     size = handle.seek(0, os.SEEK_END)
@@ -355,17 +371,18 @@ def standardize_rows(matrix: DataMatrix | np.ndarray) -> DataMatrix:
     """Scale each row (variable) to unit sample variance.
 
     Keeps row means untouched; after centering, the covariance diagonal
-    is then all ones, so the dual covariance trace equals d. Rows whose
-    sample standard deviation is below 1e-13 relative to their magnitude
-    are rejected as constant.
+    is then all ones, so the dual covariance trace equals d. A row whose
+    sample standard deviation is zero, or at most 1e-13 times the
+    absolute value of its mean, is rejected as constant. The floor is
+    relative only, so scaling the input by a power of two scales no
+    decision and leaves the output bits unchanged.
     """
     values = matrix.values if isinstance(matrix, DataMatrix) else None
     if values is None:
         values = np.asarray(matrix, dtype=np.float64)
         values = DataMatrix(values).values  # same validation path
     sd = np.std(values, axis=1, ddof=1)
-    floor = 1e-13 * np.maximum(1.0, np.abs(values.mean(axis=1)))
-    bad = np.nonzero(sd <= floor)[0]
+    bad = np.nonzero(sd <= 1e-13 * np.abs(values.mean(axis=1)))[0]
     if bad.size:
         raise ValueError(
             f"row {bad[0]} has zero sample variance; cannot standardize"

@@ -6,7 +6,10 @@ Every function is an argument-checked scalar wrapper over `scipy.special`
 Upper points are therefore inverted from the tail probability itself,
 never from 1 - alpha, so small alphas keep full relative accuracy.
 `scipy.special` is imported on the first call, so importing this module
-does not load scipy.
+does not load scipy. The one chi-square tail `nrpca estimate` needs, the
+Jarque-Bera p-value, has 2 degrees of freedom and the closed form
+exp(-x/2), which `inference.jarque_bera` computes itself, so `estimate`
+runs without scipy.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import math
 
 __all__ = [
     "chi2_cdf",
-    "chi2_sf",
     "chi2_quantile",
     "chi2_upper_point",
     "f_cdf",
@@ -71,11 +73,6 @@ def _check_probability(name: str, p: float) -> float:
 def chi2_cdf(df: float, x: float) -> float:
     """Chi-square CDF with df degrees of freedom, df > 0."""
     return float(_sc().chdtr(_check_positive("df", df), _check_nonnegative(x)))
-
-
-def chi2_sf(df: float, x: float) -> float:
-    """Chi-square upper tail probability, accurate for large x."""
-    return float(_sc().chdtrc(_check_positive("df", df), _check_nonnegative(x)))
 
 
 def chi2_quantile(df: float, p: float) -> float:

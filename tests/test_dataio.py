@@ -4,9 +4,12 @@ import csv
 import os
 import re
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nrpca import dataio
 from nrpca.dataio import load_matrix, save_matrix, standardize_rows
@@ -215,6 +218,78 @@ def test_load_matrix_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, monkeyp
         _raises_at_each_block_size(monkeypatch, path, message)
 
 
+def _runs_on(line):
+    """Whether numpy's tokenizer is still inside a quoted cell at the end
+    of `line`: then the line below is read into that cell."""
+    rows = np.loadtxt(
+        [line + "\n", 'x"\n'], dtype=object, usecols=[0], ndmin=1, **dataio._SPLIT
+    )
+    # a closed line and the sentinel are two rows; an open quote takes
+    # the sentinel's text into its cell, and its quote closes the cell
+    return len(rows) == 1
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet='a1 ,"', min_size=1, max_size=12))
+def test_open_quote_pattern_matches_the_tokenizer(line):
+    assert bool(dataio._OPEN_QUOTE.fullmatch(line + "\n")) == _runs_on(line)
+
+
+def test_load_matrix_names_a_line_that_ends_inside_a_quote(tmp_path, monkeypatch):
+    # the cell would run on into the lines below, which then parsed
+    # differently at each block size; now the line is named at all of them
+    x = np.random.default_rng(2).normal(size=(200, 6))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in x]
+    path = tmp_path / "quote.csv"
+    text = "a quoted cell is not closed on this line"
+    for at, row in ((0, '"' + lines[0]), (75, '"' + lines[75]), (199, lines[199] + ',"')):
+        cut = list(lines)
+        cut[at] = row
+        path.write_text("\n".join(cut) + "\n")
+        _raises_at_each_block_size(monkeypatch, path, f"{path}: line {at + 1}: {text}")
+    # after a header and labels, in a line that is otherwise blank, with
+    # CRLF endings, and after a doubled quote that does not close the cell
+    above = "gene,s1,s2,s3\r\ng1,1,2,3\r\n\r\n"
+    for row in (' ,"', '"g2",4,5,"6""', 'g2,"4""5,6,7', '"'):
+        path.write_text(above + row + "\r\ng3,7,8,9\r\ng4,1,2,3\r\n", newline="")
+        _raises_at_each_block_size(monkeypatch, path, f"line 4: {text}")
+    # the first faulty line is reported: a ragged one before it, the open
+    # quote before a ragged line or a byte that is not UTF-8
+    cut = list(lines)
+    cut[150] = '"' + cut[150]
+    for at, row, message in (
+        (40, "1,2", "line 41: expected 6 columns, found 2"),
+        (160, "1,2", f"line 151: {text}"),
+        (160, "1,\udcff,3", f"line 151: {text}"),
+        (10, "1,\udcff,3", "line 11: byte 3 (0xff) is not UTF-8"),
+    ):
+        both = list(cut)
+        both[at] = row
+        path.write_bytes(("\n".join(both) + "\n").encode("utf-8", "surrogateescape"))
+        _raises_at_each_block_size(monkeypatch, path, message)
+
+
+def test_load_matrix_looks_for_open_quotes_in_quoted_lines_only(tmp_path, monkeypatch):
+    seen, pattern = [], dataio._OPEN_QUOTE
+
+    def fullmatch(line):
+        seen.append(line)
+        return pattern.fullmatch(line)
+
+    monkeypatch.setattr(dataio, "_OPEN_QUOTE", SimpleNamespace(fullmatch=fullmatch))
+    values = np.random.default_rng(43).normal(size=(300, 5))
+    path = tmp_path / "m.csv"
+    for header, labels, style in ((True, True, "plain"), (False, False, "quoted")):
+        text = _styled_csv(values, header, labels, style)
+        path.write_text(text)
+        for _ in _at_each_block_size(monkeypatch, cores=(1,)):
+            seen.clear()
+            assert load_matrix(str(path)).values.tobytes() == values.tobytes()
+            # each line once, and the first line once more, while it is
+            # looked for
+            assert len(seen) == (text.count("\n") + 1) * (style == "quoted")
+
+
 def _reference_load(path):
     """The cell-by-cell loader: csv.reader, then float() on every cell."""
 
@@ -406,3 +481,20 @@ def test_standardize_rows_rejects_constant_row():
     values[1:] = np.random.default_rng(0).normal(size=(3, 5))
     with pytest.raises(ValueError, match="row 0"):
         standardize_rows(values)
+
+
+def test_standardize_rows_is_scale_free():
+    # the constant-row floor was 1e-13 * max(1, |mean|): below a mean of
+    # 1 an absolute 1e-13, which rejected this matrix scaled by 2^-45
+    x = np.random.default_rng(1).normal(size=(500, 10))
+    x[0] *= 30.0
+    want = standardize_rows(x).values.tobytes()
+    for k in range(-60, 61):
+        assert standardize_rows(x * 2.0**k).values.tobytes() == want, k
+    # a zero row and a constant row are constant at any scale
+    for k in (-60, 0, 60):
+        for row in (0.0, 3.0):
+            y = x * 2.0**k
+            y[7] = row * 2.0**k
+            with pytest.raises(ValueError, match="row 7 has zero sample variance"):
+                standardize_rows(y)

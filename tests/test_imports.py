@@ -1,9 +1,12 @@
 """What importing the package loads, and that every public name resolves."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import nrpca
 
@@ -33,6 +36,23 @@ def test_import_leaves_deferred_modules_unloaded():
             f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))"
         )
         assert out.strip() == "[]", f"import {module} loaded {out.strip()}"
+
+
+def test_estimate_runs_without_scipy(tmp_path):
+    # n = 12 >= 8, so the Jarque-Bera screen runs: its chi-square(2)
+    # tail is exp(-x/2), and the whole command needs numpy only
+    values = np.random.default_rng(5).normal(size=(50, 12))
+    path, out = tmp_path / "m.csv", tmp_path / "est.json"
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    argv = ["estimate", "--input", str(path), "--out", str(out)]
+    loaded = _run(
+        "import sys\n"
+        "from nrpca import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))"
+    )
+    assert loaded.strip() == "[]", f"nrpca estimate loaded {loaded.strip()}"
+    assert 0.0 < json.loads(out.read_text())["jb_p_value"] <= 1.0
 
 
 def test_every_public_name_resolves():

@@ -416,6 +416,44 @@ def test_jarque_bera_hand_computed():
     assert jb.p_value == pytest.approx(math.exp(-want / 2.0), rel=1e-12)
 
 
+def _tail_matches_scipy(p, x):
+    from scipy import stats
+
+    want = float(stats.chi2.sf(x, 2))
+    assert abs(p - want) <= 1e-13 * want, (x, p, want)
+
+
+def test_jarque_bera_p_value_is_the_chi2_2_tail():
+    rng = np.random.default_rng(31)
+    spiked = rng.standard_normal(100_000)
+    spiked[0] = 1e6
+    cases = [
+        # symmetric, with kurtosis exactly 3: a statistic of exactly 0
+        np.array([-1.0, -1.0, 1.0, 1.0] + [0.0] * 8),
+        rng.standard_normal(1000),
+        rng.standard_normal(1000) ** 2,
+        rng.exponential(size=200),
+        # one outlier: a statistic near 4e13, whose tail underflows to 0
+        spiked,
+    ]
+    stats_seen = []
+    for values in cases:
+        jb = jarque_bera(values)
+        # the closed form itself, so the grid below covers the function
+        assert jb.p_value == math.exp(-0.5 * jb.statistic)
+        _tail_matches_scipy(jb.p_value, jb.statistic)
+        stats_seen.append(jb.statistic)
+    assert stats_seen[0] == 0.0 and stats_seen[-1] > 1e13
+    # a grid of statistics, from 1e-300, which no data set reaches, to
+    # underflow; (1420, 1500) is left out, where both tails are
+    # subnormal and scipy's reaches 0 first
+    grid = [0.0, 1e-300, 1e-12, 1e-3, 0.5, 2.0, 5.991464547107979, 10.0]
+    grid += [100.0, 700.0, 1000.0, 1400.0, 1420.0, 1500.0, 1e4, 1e300]
+    for x in grid:
+        _tail_matches_scipy(math.exp(-0.5 * x), x)
+    assert math.exp(-0.5 * 1500.0) == 0.0
+
+
 def test_jarque_bera_rejects_bad_inputs():
     with pytest.raises(ValueError):
         jarque_bera(np.arange(7.0))
