@@ -14,7 +14,8 @@ numbers. numpy's C tokenizer, with the settings in `_SPLIT`, and its
 float parser decide blank lines, row widths, the header and label
 layout, the values and the error positions alike, so these never
 disagree. A quoted cell cannot span lines: a line that ends inside one
-is an error naming that line, so it never runs on into the next.
+is an error naming that line, so it never runs on into the next. A
+blank line is dropped before parsing, whatever quote marks it holds.
 
 The file is parsed in blocks of `_BLOCK_BYTES`, each cut just after a
 line feed, so no line spans two blocks. A file of more than one block
@@ -66,12 +67,16 @@ _FILLER = string.whitespace + ',"'
 _BLOCK_BYTES = 4 << 20
 # rows re-parsed at once while looking for the first bad row
 _LOCATE_ROWS = 1024
-# a line that ends inside a quoted cell, as `_SPLIT` tokenizes it: a
-# quote opens a cell only as its first character, a doubled quote inside
-# one is a quote mark, and after the closing quote the cell runs on as
-# plain text to the next comma
-_QUOTED = r'"[^"]*+(?:""[^"]*+)*+'
-_OPEN_QUOTE = re.compile(rf'(?:(?:{_QUOTED}"[^,]*+|[^,"][^,]*+)?+,)*+{_QUOTED}')
+# a quoted cell not yet closed, as `_SPLIT` tokenizes it: a quote opens a
+# cell only as its first character, and a doubled quote inside one is a
+# quote mark
+_QUOTED = r'"[^"]*(?:""[^"]*)*'
+# a line's cells up to its last comma, then, as group 1, its last cell if
+# that is quoted and still open at the end of the line. A quote not
+# followed by another closes a cell, which then runs on as plain text to
+# the next comma. Each cell matches one way only and group 1 is optional,
+# so the match never backtracks across cells.
+_OPEN_QUOTE = re.compile(rf'(?:(?:{_QUOTED}"(?!")|(?!"))[^,]*,)*({_QUOTED}\Z)?')
 
 
 def _parse(lines: list[str], cols) -> np.ndarray:
@@ -98,6 +103,18 @@ def _has_cells(line: str) -> bool:
     return bool(line.strip(_FILLER) or (line.strip() and any(_cells(line))))
 
 
+def _ends_in_quote(line: str) -> bool:
+    """Whether `line` ends inside a quoted cell, as `_parse` splits it."""
+    # dropping each pair of adjacent quote marks leaves every cell as open
+    # or closed as it was, and in an open last cell leaves only the quote
+    # that opens it, just after a comma or at the start of the line
+    bare = line.replace('""', "")
+    at = bare.rfind('"')
+    if at != 0 and (at < 0 or bare[at - 1] != ","):
+        return False
+    return _OPEN_QUOTE.match(line)[1] is not None
+
+
 def _decode(raw: bytes) -> list[str]:
     return io.TextIOWrapper(io.BytesIO(raw)).readlines()
 
@@ -105,9 +122,10 @@ def _decode(raw: bytes) -> list[str]:
 def _text_lines(raw: bytes, lo: int) -> tuple[list[str], str | None]:
     """The lines of `raw`, read from offset `lo` of a file, decoded and
     with newlines translated as `open(path)` does it, and None. Where a
-    line is not UTF-8 or ends inside a quoted cell, only the lines before
-    the first such line, and the error text for it. A UTF-8 byte-order
-    mark is dropped at offset 0 only."""
+    line is not UTF-8 or holds a cell and ends inside a quoted one, only
+    the lines before the first such line, and the error text for it. A
+    blank line is dropped before it is parsed, so its quote cannot run
+    on. A UTF-8 byte-order mark is dropped at offset 0 only."""
     if lo == 0 and raw.startswith(codecs.BOM_UTF8):
         raw = raw[len(codecs.BOM_UTF8) :]
     try:
@@ -127,7 +145,7 @@ def _text_lines(raw: bytes, lo: int) -> tuple[list[str], str | None]:
         )
     if b'"' in raw:
         for k, line in enumerate(lines):
-            if '"' in line and _OPEN_QUOTE.fullmatch(line):
+            if _ends_in_quote(line) and _has_cells(line):
                 return lines[:k], "a quoted cell is not closed on this line"
     return lines, fault
 

@@ -232,7 +232,7 @@ def _runs_on(line):
 @settings(max_examples=2000, deadline=None)
 @given(st.text(alphabet='a1 ,"', min_size=1, max_size=12))
 def test_open_quote_pattern_matches_the_tokenizer(line):
-    assert bool(dataio._OPEN_QUOTE.fullmatch(line + "\n")) == _runs_on(line)
+    assert dataio._ends_in_quote(line + "\n") == _runs_on(line)
 
 
 def test_load_matrix_names_a_line_that_ends_inside_a_quote(tmp_path, monkeypatch):
@@ -247,10 +247,10 @@ def test_load_matrix_names_a_line_that_ends_inside_a_quote(tmp_path, monkeypatch
         cut[at] = row
         path.write_text("\n".join(cut) + "\n")
         _raises_at_each_block_size(monkeypatch, path, f"{path}: line {at + 1}: {text}")
-    # after a header and labels, in a line that is otherwise blank, with
-    # CRLF endings, and after a doubled quote that does not close the cell
+    # after a header and labels, in an empty last cell, with CRLF endings,
+    # and after a doubled quote that does not close the cell
     above = "gene,s1,s2,s3\r\ng1,1,2,3\r\n\r\n"
-    for row in (' ,"', '"g2",4,5,"6""', 'g2,"4""5,6,7', '"'):
+    for row in ('g2,4,5,"', '"g2",4,5,"6""', 'g2,"4""5,6,7'):
         path.write_text(above + row + "\r\ng3,7,8,9\r\ng4,1,2,3\r\n", newline="")
         _raises_at_each_block_size(monkeypatch, path, f"line 4: {text}")
     # the first faulty line is reported: a ragged one before it, the open
@@ -269,14 +269,35 @@ def test_load_matrix_names_a_line_that_ends_inside_a_quote(tmp_path, monkeypatch
         _raises_at_each_block_size(monkeypatch, path, message)
 
 
+def test_load_matrix_skips_blank_lines_with_open_quotes(tmp_path, monkeypatch):
+    # a line of only commas, spaces and quote marks holds no cell, so it is
+    # dropped before parsing and its quote runs on into nothing
+    x = np.random.default_rng(4).normal(size=(200, 6))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in x]
+    for blank in ('"', ',,"', ' ,"', '"",,"'):
+        cut = list(lines)
+        for at in (0, 76, 150):
+            cut.insert(at, blank)
+        path = tmp_path / "blank.csv"
+        path.write_text("\r\n".join(cut + [blank]) + "\r\n", newline="")
+        for _ in _at_each_block_size(monkeypatch, cores=(1, 2)):
+            assert load_matrix(str(path)).values.tobytes() == x.tobytes(), blank
+
+
 def test_load_matrix_looks_for_open_quotes_in_quoted_lines_only(tmp_path, monkeypatch):
-    seen, pattern = [], dataio._OPEN_QUOTE
+    seen, matched = [], []
+    ends_in_quote, pattern = dataio._ends_in_quote, dataio._OPEN_QUOTE
 
-    def fullmatch(line):
+    def record(line):
         seen.append(line)
-        return pattern.fullmatch(line)
+        return ends_in_quote(line)
 
-    monkeypatch.setattr(dataio, "_OPEN_QUOTE", SimpleNamespace(fullmatch=fullmatch))
+    def match(line):
+        matched.append(line)
+        return pattern.match(line)
+
+    monkeypatch.setattr(dataio, "_ends_in_quote", record)
+    monkeypatch.setattr(dataio, "_OPEN_QUOTE", SimpleNamespace(match=match))
     values = np.random.default_rng(43).normal(size=(300, 5))
     path = tmp_path / "m.csv"
     for header, labels, style in ((True, True, "plain"), (False, False, "quoted")):
@@ -288,6 +309,8 @@ def test_load_matrix_looks_for_open_quotes_in_quoted_lines_only(tmp_path, monkey
             # each line once, and the first line once more, while it is
             # looked for
             assert len(seen) == (text.count("\n") + 1) * (style == "quoted")
+            # no closed line here ends in a quote just after a comma
+            assert matched == []
 
 
 def _reference_load(path):
