@@ -126,11 +126,16 @@ def sample_std_normal(rng: np.random.Generator, size=None):
     if size is None:
         return float(_polar_normals(rng, 1)[0])
     if isinstance(size, tuple):
+        # every dimension is checked before the stream is touched
         count = 1
         for dim in size:
+            if not isinstance(dim, (int, np.integer)):
+                raise TypeError(
+                    f"size dimensions must be integers, got {type(dim).__name__}"
+                )
+            if dim < 0:
+                raise ValueError(f"size must be nonnegative, got {size}")
             count *= int(dim)
-        if count < 0:
-            raise ValueError(f"size must be nonnegative, got {size}")
         return _polar_normals(rng, count).reshape(size)
     size = int(size)
     if size < 0:

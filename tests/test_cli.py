@@ -5,11 +5,12 @@ import json
 import numpy as np
 import pytest
 
+from nrpca import parallel
 from nrpca.cli import DEFAULT_SEED, WORKERS_ENV, build_parser, main
 from nrpca.dataio import save_matrix
 from nrpca.inference import contribution_ci
 from nrpca.sampling import make_stream
-from nrpca.simulation import TwoSampleScenario, gen_two_sample
+from nrpca.simulation import TwoSampleScenario, gen_two_sample, run_test_mc
 
 
 @pytest.fixture()
@@ -317,6 +318,18 @@ def test_simulate_rejects_non_integer_workers_environment(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--workers" in captured.err
+
+
+def test_only_simulate_sets_its_own_heap_policy(capsys, monkeypatch):
+    # the command keeps its freed memory for a serial run; a library call
+    # at one worker leaves the caller's allocator alone
+    calls = []
+    monkeypatch.setattr(parallel, "keep_freed_memory", lambda: calls.append(1))
+    run_test_mc([8], n1=5, n2=6, reps=4, workers=1)
+    assert calls == []
+    code, _, _ = _run(capsys, _TINY_SIMULATION + ["--workers", "1"])
+    assert code == 0
+    assert calls == [1]
 
 
 def test_default_seed_is_pinned():

@@ -341,3 +341,35 @@ def test_column_permutations_permute_scores(x, data):
     if gap > 0.0:
         bound = 4.0 * tol / gap * length + math.sqrt((n - 1) * tol)
         assert np.linalg.norm(got.scores_tilde - sign * moved) <= bound
+
+
+# centering a row with offset c and unit-scale variation loses about
+# |c| * eps to round-off, far below this at |c| <= 1e4
+OFFSET_TOL = 1e-10
+
+
+@PROPERTY
+@given(
+    n=st.integers(4, 12),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+    scale_exp=st.integers(-20, 20),
+    spike=st.floats(1.0, 4.0),
+)
+def test_moderate_row_offsets_keep_the_estimates(n, data, seed, scale_exp, spike):
+    # unit-variance noise times 2^scale_exp, and row 0 a fixed centered
+    # pattern carrying spike^2 * d of it, so lambda_tilde_1 and kappa_tilde
+    # are both a sizable part of the trace and compare in relative terms
+    d = data.draw(st.integers(n, 40))
+    rng = np.random.default_rng(seed)
+    noise = 2.0**scale_exp
+    x = rng.standard_normal((d, n)) * noise
+    pattern = rng.standard_normal(n)
+    pattern -= pattern.mean()
+    x[0] = pattern / pattern.std(ddof=1) * (spike * math.sqrt(d) * noise)
+    offsets = data.draw(arrays(np.float64, d, elements=st.floats(-1e4, 1e4)))
+    want = nr_estimate(x)
+    got = nr_estimate(x + offsets[:, None] * noise)
+    for name in ("kappa_tilde", "contribution_ratio"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=OFFSET_TOL)
+    assert got.lambda_tilde[0] == pytest.approx(want.lambda_tilde[0], rel=OFFSET_TOL)

@@ -79,6 +79,25 @@ def test_normal_tuple_shape_is_row_major_flat():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "size,error",
+    [
+        ((-2, -3), ValueError),  # a positive product of two bad dimensions
+        ((0, -1), ValueError),
+        ((2.5, 2), TypeError),
+        ((2, "3"), TypeError),
+    ],
+)
+def test_normal_tuple_size_is_checked_before_drawing(size, error):
+    rng = make_stream(31)
+    with pytest.raises(error, match="size"):
+        sample_std_normal(rng, size)
+    # the failed call drew nothing: the stream is where a fresh one starts
+    assert sample_std_normal(rng, 5).tobytes() == (
+        sample_std_normal(make_stream(31), 5).tobytes()
+    )
+
+
 def test_chi2_rejects_non_integer_df():
     rng = make_stream(1)
     with pytest.raises(TypeError):

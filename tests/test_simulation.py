@@ -12,11 +12,13 @@ import hashlib
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from nrpca import dataio
+from nrpca import dataio, parallel
 from nrpca.dataio import load_matrix
 from nrpca.sampling import make_stream, sample_std_normal
 from nrpca.simulation import (
@@ -471,6 +473,60 @@ def test_monte_carlo_output_is_frozen(workers):
     assert _summary_digest(tests) == (
         "b087f5ac47569417e29f94a56f0d45392ea59d645b49ad18a3c554ecd93b4dc2"
     )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_large_d_monte_carlo_output_is_frozen(workers):
+    # at d = 8192 a replication's arrays come from the heap, not from
+    # mmap, in pool workers that keep their freed memory: the bits must
+    # not depend on where the memory comes from
+    est = run_estimation_mc(
+        "b", [8192, 2048], n=10, reps=8, seed=5, workers=workers, keep_samples=True
+    )
+    assert _summary_digest(est) == (
+        "1e6d829f603ddc7b536075d1849a694fdb0ef438df89531ac59534a48ff3c47a"
+    )
+    tests = run_test_mc(
+        [8192], n1=10, n2=20, reps=8, seed=3, workers=workers, keep_samples=True
+    )
+    assert _summary_digest(tests) == (
+        "3a89a8b7d70bdb5c64e315371e9eb13be988697911ad74e1769823b40a1221c8"
+    )
+
+
+# one warm-up replication in each worker, then minor page faults per
+# d = 8192 estimation replication over 16 more
+_FAULTS_PER_REP = """
+import resource
+from nrpca import simulation
+from nrpca.parallel import ordered_map
+
+def faults_per_rep(job):
+    simulation._estimation_rep("b", 10, 5, 8192, 100 + job)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for rep in range(16):
+        simulation._estimation_rep("b", 10, 5, 8192, rep)
+    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 16
+
+print(max(ordered_map(faults_per_rep, [0, 1], workers=2)))
+"""
+
+
+@pytest.mark.skipif(parallel._mallopt() is None, reason="no mallopt in this C library")
+def test_pool_workers_keep_their_freed_memory():
+    # without the heap policy each replication gives its arrays back to
+    # the kernel and faults them in again: about 600 faults, not 6. A
+    # fresh interpreter, because glibc raises its thresholds as a process
+    # frees large blocks, and forked workers inherit what the parent did
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_REP],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 64, proc.stdout
 
 
 @pytest.mark.parametrize("workers", [1, 2])
