@@ -8,11 +8,11 @@ for two covariance spectra, and a deterministic Monte Carlo harness.
 
 Importing the package loads numpy only. The Monte Carlo names
 (`run_estimation_mc`, `gen_ar1`, ... from `simulation`) resolve on first
-access, and the distribution functions and `optimal_ab` import
-scipy.special and scipy.optimize on their first call, so `import nrpca`
-and the non-simulating CLI commands start without scipy. `nrpca
-estimate` never loads it: the Jarque-Bera p-value of its scores is the
-chi-square(2) upper tail, which is exp(-x/2) in closed form.
+access, and `inference` imports scipy.special (its chi-square and F
+functions) and scipy.optimize (`optimal_ab`) on first call, so
+`import nrpca` and the non-simulating CLI commands start without scipy.
+`nrpca estimate` never loads it: the Jarque-Bera p-value of its scores
+is the chi-square(2) upper tail, which is exp(-x/2) in closed form.
 """
 
 from .dataio import load_matrix, save_matrix, standardize_rows

@@ -9,24 +9,26 @@ density g. The tests compare two samples' corrected first eigenvalues
 their tail masses (F3); each is F-distributed with (n1-1, n2-1) degrees
 of freedom under its null, so all three share one two-sided decision
 rule built from F quantiles.
+
+The chi-square and F functions are one-line calls into `scipy.special`
+(Cephes), which computes complements and upper-tail inverses directly.
+Upper points are therefore inverted from the tail probability itself,
+never from 1 - alpha, so small alphas keep full relative accuracy. They
+check nothing: each public entry point checks its own arguments once,
+and what it passes on is in range. `scipy.special` is imported on the
+first call, so importing this module does not load scipy, and
+`jarque_bera`'s closed-form tail keeps `nrpca estimate` free of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .estimators import DegenerateSpectrumError, NrEstimate
-from .special import (
-    chi2_cdf,
-    chi2_quantile,
-    chi2_upper_point,
-    f_cdf,
-    f_upper_point,
-)
 
 __all__ = [
     "OrthogonalDirectionsError",
@@ -118,6 +120,43 @@ class JarqueBera:
     kurtosis: float
 
 
+@cache
+def _sc():
+    """`scipy.special`, imported on first use."""
+    import scipy.special
+
+    return scipy.special
+
+
+def chi2_cdf(df: float, x: float) -> float:
+    """Chi-square CDF with df degrees of freedom."""
+    return float(_sc().chdtr(df, x))
+
+
+def chi2_quantile(df: float, p: float) -> float:
+    """Lower-tail chi-square quantile: the q with chi2_cdf(df, q) = p."""
+    return 2.0 * float(_sc().gammaincinv(0.5 * df, p))
+
+
+def chi2_upper_point(df: float, alpha: float) -> float:
+    """Upper alpha point of the chi-square distribution: P(X > value) = alpha."""
+    return float(_sc().chdtri(df, alpha))
+
+
+def f_cdf(d1: float, d2: float, x: float) -> float:
+    """F distribution CDF with (d1, d2) degrees of freedom."""
+    return float(_sc().fdtr(d1, d2, x))
+
+
+def f_upper_point(d1: float, d2: float, alpha: float) -> float:
+    """Upper alpha point of the F distribution: P(F > value) = alpha.
+
+    Computed as 1 / (lower alpha point of F(d2, d1)), which inverts the
+    tail probability alpha itself.
+    """
+    return 1.0 / float(_sc().fdtri(d2, d1, alpha))
+
+
 def optimal_ab(df: int, alpha: float) -> QuantilePair:
     """Minimum-length chi-square quantile pair at coverage 1 - alpha.
 
@@ -171,8 +210,12 @@ def contribution_ci(
     n = int(n)
     if n < 3:
         raise ValueError(f"need n >= 3, got {n}")
-    if lambda_tilde_1 < 0.0 or kappa_tilde < 0.0:
-        raise ValueError("lambda_tilde_1 and kappa_tilde must be nonnegative")
+    for name, value in (
+        ("lambda_tilde_1", lambda_tilde_1),
+        ("kappa_tilde", kappa_tilde),
+    ):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
     if lambda_tilde_1 == 0.0 and kappa_tilde == 0.0:
         raise DegenerateSpectrumError(
             "lambda_tilde_1 and kappa_tilde are both zero; the ratio is undefined"
@@ -204,23 +247,27 @@ def _check_test_alpha(alpha: float) -> float:
     return alpha
 
 
-def _two_sided_outcome(
+def _outcome(
     statistic: float,
     nu1: int,
     nu2: int,
     alpha: float,
     components: TestComponents,
+    alternative: str = "two-sided",
 ) -> TestOutcome:
-    lower, upper = _two_sided_bounds(nu1, nu2, alpha)
+    # "less" rejects below the one-sided lower point at alpha, which is
+    # the two-sided lower point at 2 alpha: (2 alpha) / 2 == alpha exactly
+    less = alternative == "less"
+    lower, upper = _two_sided_bounds(nu1, nu2, 2.0 * alpha if less else alpha)
     return TestOutcome(
         statistic=statistic,
         nu1=nu1,
         nu2=nu2,
         alpha=alpha,
-        alternative="two-sided",
+        alternative=alternative,
         lower_crit=lower,
-        upper_crit=upper,
-        reject_null=bool(statistic < lower or statistic > upper),
+        upper_crit=None if less else upper,
+        reject_null=bool(statistic < lower or (not less and statistic > upper)),
         components=components,
     )
 
@@ -252,25 +299,13 @@ def test_f1(
     if n1 < 3 or n2 < 3:
         raise ValueError(f"need n1, n2 >= 3, got ({n1}, {n2})")
     alpha = _check_test_alpha(alpha)
-    nu1, nu2 = n1 - 1, n2 - 1
+    if alternative not in ("two-sided", "less"):
+        raise ValueError(
+            f"alternative must be 'two-sided' or 'less', got {alternative!r}"
+        )
     statistic = lt1 / lt2
     components = TestComponents(lambda_ratio=statistic)
-    if alternative == "two-sided":
-        return _two_sided_outcome(statistic, nu1, nu2, alpha, components)
-    if alternative == "less":
-        lower = 0.0 if alpha == 0.0 else 1.0 / f_upper_point(nu2, nu1, alpha)
-        return TestOutcome(
-            statistic=statistic,
-            nu1=nu1,
-            nu2=nu2,
-            alpha=alpha,
-            alternative="less",
-            lower_crit=lower,
-            upper_crit=None,
-            reject_null=bool(statistic < lower),
-            components=components,
-        )
-    raise ValueError(f"alternative must be 'two-sided' or 'less', got {alternative!r}")
+    return _outcome(statistic, n1 - 1, n2 - 1, alpha, components, alternative)
 
 
 def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
@@ -316,7 +351,7 @@ def test_f2(
     alpha = _check_test_alpha(alpha)
     ratio, h, star = _h_star(est1, est2)
     components = TestComponents(lambda_ratio=ratio, h_tilde=h, h_star=star)
-    return _two_sided_outcome(
+    return _outcome(
         ratio * star, est1.n - 1, est2.n - 1, alpha, components
     )
 
@@ -349,7 +384,7 @@ def test_f3(
         gamma_tilde=gamma,
         gamma_star=gamma_star,
     )
-    return _two_sided_outcome(
+    return _outcome(
         ratio * h_star * gamma_star, est1.n - 1, est2.n - 1, alpha, components
     )
 
@@ -374,12 +409,15 @@ def asymptotic_power(
     if nu1 < 1 or nu2 < 1:
         raise ValueError(f"degrees of freedom must be positive, got ({nu1}, {nu2})")
     lambda_ratio = float(lambda_ratio)
-    if lambda_ratio <= 0.0:
-        raise ValueError(f"lambda_ratio must be positive, got {lambda_ratio}")
+    if not 0.0 < lambda_ratio < math.inf:
+        raise ValueError(
+            f"lambda_ratio must be finite and positive, got {lambda_ratio}"
+        )
     h = float(h)
     gamma = float(gamma)
-    if h < 1.0 or gamma < 1.0:
-        raise ValueError(f"h and gamma must be >= 1, got h={h}, gamma={gamma}")
+    for name, value in (("h", h), ("gamma", gamma)):
+        if not 1.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 1, got {value}")
     alpha = float(alpha)
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must lie in (0, 1/2), got {alpha}")
@@ -392,6 +430,9 @@ def asymptotic_power(
         c = lambda_ratio / (h * gamma)
     else:
         raise ValueError(f"which must be 'f1', 'f2' or 'f3', got {which!r}")
+    if c == 0.0:
+        # lambda_ratio / (h * gamma) underflowed: c*f is 0, below any lower point
+        return 1.0
     lower, upper = _two_sided_bounds(nu1, nu2, alpha)
     return f_cdf(nu1, nu2, lower / c) + 1.0 - f_cdf(nu1, nu2, upper / c)
 

@@ -116,6 +116,15 @@ def _polar_normals(
     return out
 
 
+def _check_count(name: str, value, least: int = 0) -> int:
+    """`value` as an int of at least `least`; raises before any draw."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
 def sample_std_normal(rng: np.random.Generator, size=None):
     """Standard normal draws by the polar method.
 
@@ -125,22 +134,9 @@ def sample_std_normal(rng: np.random.Generator, size=None):
     """
     if size is None:
         return float(_polar_normals(rng, 1)[0])
-    if isinstance(size, tuple):
-        # every dimension is checked before the stream is touched
-        count = 1
-        for dim in size:
-            if not isinstance(dim, (int, np.integer)):
-                raise TypeError(
-                    f"size dimensions must be integers, got {type(dim).__name__}"
-                )
-            if dim < 0:
-                raise ValueError(f"size must be nonnegative, got {size}")
-            count *= int(dim)
-        return _polar_normals(rng, count).reshape(size)
-    size = int(size)
-    if size < 0:
-        raise ValueError(f"size must be nonnegative, got {size}")
-    return _polar_normals(rng, size)
+    dims = size if isinstance(size, tuple) else (size,)
+    shape = [_check_count("size", dim) for dim in dims]
+    return _polar_normals(rng, math.prod(shape)).reshape(shape)
 
 
 # sample_chi2 blocks its normal draws so huge requests stay within memory
@@ -153,15 +149,9 @@ def sample_chi2(rng: np.random.Generator, df: int, size: int | None = None):
     df must be a positive integer (the only case the harness needs);
     moments are exact by construction.
     """
-    if not isinstance(df, (int, np.integer)) or isinstance(df, bool):
-        raise TypeError(f"df must be a positive integer, got {df!r}")
-    df = int(df)
-    if df < 1:
-        raise ValueError(f"df must be a positive integer, got {df}")
+    df = _check_count("df", df, 1)
     scalar = size is None
-    count = 1 if scalar else int(size)
-    if count < 0:
-        raise ValueError(f"size must be nonnegative, got {size}")
+    count = 1 if scalar else _check_count("size", size)
     out = np.empty(count, dtype=np.float64)
     block = max(1, _CHI2_BLOCK // df)
     done = 0
@@ -185,18 +175,10 @@ def sample_scaled_t_vector(
 
     Returns shape (dim,) when size is None, else (dim, size).
     """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    if not isinstance(df, (int, np.integer)) or isinstance(df, bool):
-        raise TypeError(f"df must be an integer, got {df!r}")
-    df = int(df)
-    if df < 3:
-        raise ValueError(f"df must be >= 3 for a finite covariance, got {df}")
+    dim = _check_count("dim", dim, 1)
+    df = _check_count("df", df, 3)  # df >= 3 for a finite covariance
     scalar = size is None
-    count = 1 if scalar else int(size)
-    if count < 0:
-        raise ValueError(f"size must be nonnegative, got {size}")
+    count = 1 if scalar else _check_count("size", size)
     g = _polar_normals(rng, dim * count).reshape(dim, count)
     w = sample_chi2(rng, df, count)
     scale = np.sqrt(df / w) * math.sqrt((df - 2.0) / df)

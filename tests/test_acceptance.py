@@ -17,12 +17,11 @@ from scipy import stats
 
 from nrpca.cli import main
 from nrpca.estimators import nr_estimate
-from nrpca.inference import asymptotic_power, contribution_ci, optimal_ab
+from nrpca.inference import asymptotic_power, chi2_cdf, contribution_ci, optimal_ab
 from nrpca.inference import test_f1 as f1_test
 from nrpca.linalg import DataMatrix, center_columns
 from nrpca.sampling import make_stream, sample_chi2
 from nrpca.simulation import run_estimation_mc, run_test_mc
-from nrpca.special import chi2_cdf
 
 
 class _Criterion:

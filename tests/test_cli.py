@@ -263,6 +263,27 @@ def test_power_command_null_is_level(capsys):
         assert record[key] == pytest.approx(0.05, abs=1e-12)
 
 
+_POWER = ["power", "--nu1", "9", "--nu2", "19"]
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (_POWER + ["--ratio", "1.5", "--h", "inf"], "h"),
+        (_POWER + ["--ratio", "1.5", "--gamma", "inf"], "gamma"),
+        (_POWER + ["--ratio", "nan"], "lambda_ratio"),
+        (["ci", "--lambda-tilde", "1", "--kappa", "inf", "--n", "10"], "kappa_tilde"),
+        (["ci", "--lambda-tilde", "nan", "--kappa", "1", "--n", "10"], "lambda_tilde_1"),
+    ],
+)
+def test_non_finite_numbers_fail_with_one_named_error(capsys, argv, name):
+    code, out, err = _run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {name} must be finite")
+    assert err.count("\n") == 1
+
+
 def test_workers_default_comes_from_environment(monkeypatch):
     monkeypatch.setenv(WORKERS_ENV, "3")
     args = build_parser().parse_args(["simulate", "--d", "8"])

@@ -23,6 +23,7 @@ from nrpca.inference import (
     asymptotic_power,
     contribution_ci,
     direction_h,
+    f_cdf,
     jarque_bera,
     optimal_ab,
     test_f1 as f1_test,
@@ -30,7 +31,6 @@ from nrpca.inference import (
     test_f3 as f3_test,
 )
 from nrpca.sampling import make_stream, sample_chi2
-from nrpca.special import f_cdf
 
 # minimum-length chi-square(19) pair at 95%, from an independent
 # extended-precision solve of the stationarity system
@@ -112,6 +112,8 @@ def test_optimal_ab_rejects_bad_inputs():
         optimal_ab(19, 1.0)
     with pytest.raises(ValueError):
         optimal_ab(19, 1e-9)
+    with pytest.raises(ValueError, match="alpha"):
+        optimal_ab(19, math.nan)
 
 
 def test_quantile_pair_requires_order():
@@ -165,6 +167,18 @@ def test_contribution_ci_degenerate_edges():
         contribution_ci(-1.0, 5.0, 20)
     with pytest.raises(ValueError):
         contribution_ci(5.0, 5.0, 2)
+    # a non-finite summary number is named, not turned into an interval
+    for lt1, kappa, name in [
+        (1.0, math.inf, "kappa_tilde"),
+        (1.0, math.nan, "kappa_tilde"),
+        (math.inf, 5.0, "lambda_tilde_1"),
+        (math.nan, 5.0, "lambda_tilde_1"),
+        (-math.inf, 5.0, "lambda_tilde_1"),
+    ]:
+        with pytest.raises(ValueError, match=name):
+            contribution_ci(lt1, kappa, 10)
+    with pytest.raises(ValueError, match="alpha"):
+        contribution_ci(1.0, 5.0, 10, alpha=math.nan)
 
 
 def test_contribution_ci_covers_iff_pivot_in_pair():
@@ -245,6 +259,10 @@ def test_f1_rejects_bad_inputs():
         f1_test(1.0, 1.0, 2, 20)
     with pytest.raises(ValueError):
         f1_test(1.0, 1.0, 10, 20, alpha=0.5)
+    for alpha in (-0.1, math.nan):
+        for alternative in ("two-sided", "less"):
+            with pytest.raises(ValueError, match="alpha"):
+                f1_test(1.0, 1.0, 10, 20, alpha=alpha, alternative=alternative)
 
 
 def test_direction_h_known_angle():
@@ -397,6 +415,30 @@ def test_asymptotic_power_rejects_bad_inputs():
         asymptotic_power(9, 19, 1.0, alpha=0.5)
     with pytest.raises(ValueError):
         asymptotic_power(9, 19, 1.0, which="f4")
+    with pytest.raises(ValueError, match="degrees of freedom"):
+        asymptotic_power(0, 19, 1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        asymptotic_power(9, 19, 1.0, alpha=-0.1)
+    # non-finite truths are named; h = inf used to divide by zero
+    for ratio, h, gamma, name in [
+        (math.nan, 1.0, 1.0, "lambda_ratio"),
+        (math.inf, 1.0, 1.0, "lambda_ratio"),
+        (1.5, math.inf, 1.0, "h"),
+        (1.5, math.nan, 1.0, "h"),
+        (1.5, 1.0, math.inf, "gamma"),
+        (1.5, 1.0, math.nan, "gamma"),
+    ]:
+        for which in ("f1", "f2", "f3"):
+            with pytest.raises(ValueError, match=name):
+                asymptotic_power(9, 19, ratio, h=h, gamma=gamma, which=which)
+
+
+def test_asymptotic_power_underflowing_ratio_rejects_surely():
+    # lambda_ratio / h and h * gamma leave the double range: c*f is 0
+    assert asymptotic_power(9, 19, 1e-300, h=1e300, which="f2") == 1.0
+    assert asymptotic_power(9, 19, 1.0, h=1e200, gamma=1e200, which="f3") == 1.0
+    # a subnormal c reaches the formula, which gives the same limit
+    assert asymptotic_power(9, 19, 1e-300, h=1e10, which="f2") == 1.0
 
 
 def test_jarque_bera_hand_computed():

@@ -86,6 +86,9 @@ def test_normal_tuple_shape_is_row_major_flat():
         ((0, -1), ValueError),
         ((2.5, 2), TypeError),
         ((2, "3"), TypeError),
+        (2.5, TypeError),  # used to truncate to 2 draws
+        (-1, ValueError),
+        (True, TypeError),
     ],
 )
 def test_normal_tuple_size_is_checked_before_drawing(size, error):
@@ -93,6 +96,24 @@ def test_normal_tuple_size_is_checked_before_drawing(size, error):
     with pytest.raises(error, match="size"):
         sample_std_normal(rng, size)
     # the failed call drew nothing: the stream is where a fresh one starts
+    assert sample_std_normal(rng, 5).tobytes() == (
+        sample_std_normal(make_stream(31), 5).tobytes()
+    )
+
+
+@pytest.mark.parametrize(
+    "draw,name",
+    [
+        (lambda rng: sample_chi2(rng, 3, 2.7), "size"),
+        (lambda rng: sample_scaled_t_vector(rng, 3, 10, 2.2), "size"),
+        (lambda rng: sample_scaled_t_vector(rng, 3.9, 10, 2), "dim"),
+    ],
+    ids=["chi2-size", "t-size", "t-dim"],
+)
+def test_chi2_and_t_sizes_are_checked_before_drawing(draw, name):
+    rng = make_stream(31)
+    with pytest.raises(TypeError, match=name):
+        draw(rng)
     assert sample_std_normal(rng, 5).tobytes() == (
         sample_std_normal(make_stream(31), 5).tobytes()
     )
