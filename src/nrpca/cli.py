@@ -163,13 +163,10 @@ def _cmd_test(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> None:
-    from .parallel import keep_freed_memory
     from .simulation import run_estimation_mc, run_test_mc  # loads scipy.signal
 
     if args.workers < 1:
         raise ValueError(f"workers must be at least 1, got {args.workers}")
-    # the pool's workers keep their freed memory; so does a serial run here
-    keep_freed_memory()
     reps = {} if args.reps is None else {"reps": args.reps}
     if args.study == "pc":
         summary = run_estimation_mc(

@@ -29,6 +29,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .estimators import DegenerateSpectrumError, NrEstimate
+from .sampling import _check_count
 
 __all__ = [
     "OrthogonalDirectionsError",
@@ -166,9 +167,7 @@ def optimal_ab(df: int, alpha: float) -> QuantilePair:
     form, (df/2 + 1) ln(b/a) = (b - a)/2 (Tate & Klett 1959), found by
     Brent's method. The result is deterministic for fixed (df, alpha).
     """
-    df = int(df)
-    if df < 2:
-        raise ValueError(f"df must be at least 2, got {df}")
+    df = _check_count("df", df, 2)
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -207,9 +206,7 @@ def contribution_ci(
     """
     lambda_tilde_1 = float(lambda_tilde_1)
     kappa_tilde = float(kappa_tilde)
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    n = _check_count("n", n, 3)
     for name, value in (
         ("lambda_tilde_1", lambda_tilde_1),
         ("kappa_tilde", kappa_tilde),
@@ -222,7 +219,14 @@ def contribution_ci(
         )
     df = n - 1
     pair = optimal_ab(df, alpha)
-    mass = (n - 1) * lambda_tilde_1
+    mass = df * lambda_tilde_1
+    if math.isinf(pair.b * kappa_tilde + mass):
+        # the mass or a denominator overflowed: the interval is the same
+        # for (lt1, k) scaled alike, and a power of two scales exactly
+        shift = -math.frexp(max(lambda_tilde_1, kappa_tilde))[1]
+        lambda_tilde_1 = math.ldexp(lambda_tilde_1, shift)
+        kappa_tilde = math.ldexp(kappa_tilde, shift)
+        mass = df * lambda_tilde_1
     lower = mass / (pair.b * kappa_tilde + mass)
     upper = mass / (pair.a * kappa_tilde + mass)
     return CiResult(
@@ -272,8 +276,10 @@ def _outcome(
     )
 
 
-def _positive_eigenvalue(value: float, name: str) -> float:
+def _positive(value: float, name: str) -> float:
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if value <= 0.0:
         raise DegenerateSpectrumError(f"{name} must be positive, got {value}")
     return value
@@ -293,11 +299,9 @@ def test_f1(
     One-sided ("less", the first eigenvalue smaller): reject when
     F1 < 1/F_{nu2,nu1}(alpha).
     """
-    lt1 = _positive_eigenvalue(lt1, "lt1")
-    lt2 = _positive_eigenvalue(lt2, "lt2")
-    n1, n2 = int(n1), int(n2)
-    if n1 < 3 or n2 < 3:
-        raise ValueError(f"need n1, n2 >= 3, got ({n1}, {n2})")
+    lt1 = _positive(lt1, "lt1")
+    lt2 = _positive(lt2, "lt2")
+    n1, n2 = _check_count("n1", n1, 3), _check_count("n2", n2, 3)
     alpha = _check_test_alpha(alpha)
     if alternative not in ("two-sided", "less"):
         raise ValueError(
@@ -333,8 +337,8 @@ def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
 
 
 def _h_star(est1: NrEstimate, est2: NrEstimate) -> tuple[float, float, float]:
-    lt1 = _positive_eigenvalue(float(est1.lambda_tilde[0]), "lambda_tilde_1 (sample 1)")
-    lt2 = _positive_eigenvalue(float(est2.lambda_tilde[0]), "lambda_tilde_1 (sample 2)")
+    lt1 = _positive(est1.lambda_tilde[0], "lambda_tilde_1 (sample 1)")
+    lt2 = _positive(est2.lambda_tilde[0], "lambda_tilde_1 (sample 2)")
     h = direction_h(est1.h_tilde_1, est2.h_tilde_1)
     star = h if lt1 >= lt2 else 1.0 / h
     return lt1 / lt2, h, star
@@ -366,12 +370,8 @@ def test_f3(
     Two-sided only.
     """
     alpha = _check_test_alpha(alpha)
-    k1 = float(est1.kappa_tilde)
-    k2 = float(est2.kappa_tilde)
-    if k1 <= 0.0 or k2 <= 0.0:
-        raise DegenerateSpectrumError(
-            f"tail masses must be positive for F3, got ({k1}, {k2})"
-        )
+    k1 = _positive(est1.kappa_tilde, "kappa_tilde (sample 1)")
+    k2 = _positive(est2.kappa_tilde, "kappa_tilde (sample 2)")
     ratio, h, h_star = _h_star(est1, est2)
     gamma = max(k1 / k2, k2 / k1)
     lt1 = float(est1.lambda_tilde[0])
@@ -405,9 +405,9 @@ def asymptotic_power(
     h*gamma for the full-covariance test. The power is the probability
     that c*f leaves the two-sided acceptance interval.
     """
-    nu1, nu2 = int(nu1), int(nu2)
-    if nu1 < 1 or nu2 < 1:
-        raise ValueError(f"degrees of freedom must be positive, got ({nu1}, {nu2})")
+    for name, value in (("nu1", nu1), ("nu2", nu2)):
+        if _check_count(name, value) < 1:
+            raise ValueError(f"degrees of freedom must be positive, got {name}={value}")
     lambda_ratio = float(lambda_ratio)
     if not 0.0 < lambda_ratio < math.inf:
         raise ValueError(

@@ -1,19 +1,19 @@
-"""The one process pool, shared by the CSV loader and the Monte Carlo
-harness.
+"""The one ordered map over a process pool, shared by the CSV loader and
+the Monte Carlo harness, and the heap policy of a Monte Carlo study.
 
-Heap policy. A Monte Carlo replication at d = 8192 allocates arrays of
-0.3-0.9 MB (polar uniforms and temporaries, the sample, its centered
-copy) and frees them when it ends. glibc's dynamic mmap and trim
-thresholds hand such blocks back to the kernel, so the next replication
-faults the same pages in again, zero-filled: about 600 minor faults per
-replication, a quarter of its time. Each pool worker therefore starts by
-raising glibc's `M_MMAP_THRESHOLD` to 32 MiB and `M_TRIM_THRESHOLD` to
-64 MiB through `mallopt`, and keeps its freed memory for the next job.
-`nrpca simulate` applies the same policy to its own process, which runs
-the replications when there is one worker; a library call that maps
-serially leaves the caller's allocator alone. Where the C library has no
-`mallopt` (macOS, Windows) nothing changes. The policy decides only
-where an array's memory comes from, never its values, so every result is
+Heap policy. A replication at d = 8192 frees arrays of 0.3-0.9 MB (polar
+uniforms and temporaries, the sample, its centered copy). glibc's dynamic
+mmap and trim thresholds hand them back to the kernel, so the next
+replication faults the same pages in again, zero-filled: about 600 minor
+faults, a fifth of its time. `keep_freed_memory` raises glibc's
+`M_MMAP_THRESHOLD` to 32 MiB and `M_TRIM_THRESHOLD` to 64 MiB through
+`mallopt`, so a process keeps up to 64 MiB of freed memory for reuse.
+Each `simulation` study applies it once, in the calling process, before
+it maps its replications; forked pool workers inherit it, and it stays
+set for the rest of the process's life. `ordered_map` leaves the
+allocator alone, so the CSV loader's workers run without it. Where the C
+library has no `mallopt` (macOS, Windows) nothing changes. The policy
+decides only where memory comes from, never a value, so every result is
 the same with it and without it.
 """
 
@@ -45,7 +45,7 @@ def _mallopt():
 
 
 def keep_freed_memory() -> None:
-    """Apply the heap policy above to this process."""
+    """Apply the heap policy above to this process and its later forks."""
     mallopt = _mallopt()
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
@@ -54,9 +54,8 @@ def keep_freed_memory() -> None:
 
 def ordered_map(fn, *jobs: list, workers: int) -> list:
     """`list(map(fn, *jobs))` in up to `workers` forked processes, at
-    most one per job, each under the heap policy above. A daemonic
-    process, such as a multiprocessing.Pool worker, may not start
-    processes of its own: it maps serially."""
+    most one per job. A daemonic process, such as a multiprocessing.Pool
+    worker, may not start processes of its own: it maps serially."""
     workers = min(workers, len(jobs[0]))
     if workers > 1:
         import multiprocessing
@@ -68,10 +67,6 @@ def ordered_map(fn, *jobs: list, workers: int) -> list:
             # import numpy again and re-run a caller's main module
             context = multiprocessing.get_context("fork")
             chunksize = -(-len(jobs[0]) // (4 * workers))
-            # resolved here, so the workers inherit it instead of loading it
-            policy = keep_freed_memory if _mallopt() else None
-            with ProcessPoolExecutor(
-                workers, mp_context=context, initializer=policy
-            ) as pool:
+            with ProcessPoolExecutor(workers, mp_context=context) as pool:
                 return list(pool.map(fn, *jobs, chunksize=chunksize))
     return list(map(fn, *jobs))

@@ -13,6 +13,10 @@ its own counter-based substream keyed by (seed, d, replication, arm).
 A study maps every (d, replication) pair through `parallel.ordered_map`,
 the pool the CSV loader uses too: at most one forked process per job,
 and a serial map in a daemonic process, which may not start processes.
+First it applies `parallel.keep_freed_memory` to the calling process,
+whose forked workers inherit it: replications reuse freed memory instead
+of faulting it in again. The setting outlives the call and never
+changes a value.
 Jobs are submitted largest d first, so the pool's last chunks are the
 cheapest, and the results are put back in (d, replication) order. As
 each replication is a pure function of (seed, d, replication), a run is
@@ -31,7 +35,7 @@ from scipy.signal import lfilter
 from .estimators import nr_estimate, score_mse
 from .inference import test_f1, test_f2, test_f3
 from .linalg import DataMatrix
-from .parallel import ordered_map
+from .parallel import keep_freed_memory, ordered_map
 from .sampling import (
     Seed,
     _polar_normals,
@@ -393,6 +397,7 @@ def _map_reps(rep_fn, d_list: list[int], reps: int, workers: int) -> np.ndarray:
     order = sorted(range(len(d_list)), key=lambda i: -d_list[i])
     ds = [d_list[i] for i in order for _ in range(reps)]
     rs = [rep for _ in order for rep in range(reps)]
+    keep_freed_memory()
     results = ordered_map(rep_fn, ds, rs, workers=workers)
     values = np.array(results, dtype=np.float64).reshape(len(d_list), reps, -1)
     return values[np.argsort(order)]

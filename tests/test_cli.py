@@ -1,16 +1,25 @@
 """Command surface: argument handling, output formats, reproducibility."""
 
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from nrpca import parallel
+from nrpca import dataio, parallel
 from nrpca.cli import DEFAULT_SEED, WORKERS_ENV, build_parser, main
-from nrpca.dataio import save_matrix
+from nrpca.dataio import load_matrix, save_matrix
 from nrpca.inference import contribution_ci
 from nrpca.sampling import make_stream
-from nrpca.simulation import TwoSampleScenario, gen_two_sample, run_test_mc
+from nrpca.simulation import (
+    TwoSampleScenario,
+    gen_two_sample,
+    run_estimation_mc,
+    run_test_mc,
+)
 
 
 @pytest.fixture()
@@ -71,6 +80,49 @@ def test_estimate_transpose_matches_direct(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out_direct) == json.loads(out_flipped)
+
+
+def _write_named(path, values, header: bool, labels: bool) -> None:
+    """`save_matrix`, then a header row of column names and a first
+    column of row names, as asked."""
+    save_matrix(str(path), values)
+    lines = path.read_text().splitlines()
+    if labels:
+        lines = [f"r{i}," + line for i, line in enumerate(lines)]
+    if header:
+        names = [f"c{j}" for j in range(values.shape[1])]
+        lines.insert(0, ",".join((["name"] if labels else []) + names))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    shape=st.tuples(st.integers(3, 12), st.integers(3, 10)),
+    header=st.booleans(),
+    labels=st.booleans(),
+    data=st.data(),
+)
+def test_transpose_round_trip_gives_the_same_bytes(
+    capsys, tmp_path, shape, header, labels, data
+):
+    # x as variables x samples, and x.T with one sample per line read
+    # back with --transpose, print the same JSON byte for byte; a header
+    # row and a label column name the other axis in the transposed file
+    x = data.draw(arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    x[0] += data.draw(arrays(np.float64, shape[1], elements=st.floats(-1e5, 1e5)))
+    direct = tmp_path / "direct.csv"
+    flipped = tmp_path / "flipped.csv"
+    _write_named(direct, x, header, labels)
+    _write_named(flipped, x.T, header, labels)
+    want = _run(capsys, ["estimate", "--input", str(direct)])
+    got = _run(capsys, ["estimate", "--input", str(flipped), "--transpose"])
+    assert got == want
 
 
 def test_estimate_standardize_sets_trace(capsys, tmp_path):
@@ -341,16 +393,48 @@ def test_simulate_rejects_non_integer_workers_environment(capsys, monkeypatch):
     assert "--workers" in captured.err
 
 
-def test_only_simulate_sets_its_own_heap_policy(capsys, monkeypatch):
-    # the command keeps its freed memory for a serial run; a library call
-    # at one worker leaves the caller's allocator alone
-    calls = []
-    monkeypatch.setattr(parallel, "keep_freed_memory", lambda: calls.append(1))
-    run_test_mc([8], n1=5, n2=6, reps=4, workers=1)
-    assert calls == []
-    code, _, _ = _run(capsys, _TINY_SIMULATION + ["--workers", "1"])
+def test_a_study_sets_the_heap_policy_once_and_the_loader_never(
+    capsys, monkeypatch, tmp_path
+):
+    # each study applies the policy once, in the process that calls it,
+    # and its forked workers inherit it; the CSV loader's pool leaves the
+    # allocator alone. A stand-in mallopt logs every call, from whichever
+    # process makes it, to a file
+    log = tmp_path / "mallopt.log"
+
+    def mallopt(param, value):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {param} {value}\n")
+
+    monkeypatch.setattr(parallel, "_mallopt", lambda: mallopt)
+    once = [
+        f"{os.getpid()} {parallel._M_MMAP_THRESHOLD} {parallel._MMAP_THRESHOLD}",
+        f"{os.getpid()} {parallel._M_TRIM_THRESHOLD} {parallel._TRIM_THRESHOLD}",
+    ]
+
+    def applied() -> list[str]:
+        lines = log.read_text().splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return lines
+
+    for workers in (1, 2):
+        run_test_mc([8, 16], n1=5, n2=6, reps=4, workers=workers)
+        assert applied() == once
+        run_estimation_mc("b", [8, 16], n=5, reps=4, workers=workers)
+        assert applied() == once
+        code, _, _ = _run(capsys, _TINY_SIMULATION + ["--workers", str(workers)])
+        assert code == 0
+        assert applied() == once
+
+    # a file of many blocks, parsed by a pool of two
+    path = tmp_path / "blocks.csv"
+    save_matrix(str(path), np.arange(120.0).reshape(40, 3))
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 40)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert load_matrix(str(path)).values.shape == (40, 3)
+    code, _, _ = _run(capsys, ["estimate", "--input", str(path)])
     assert code == 0
-    assert calls == [1]
+    assert applied() == []
 
 
 def test_default_seed_is_pinned():

@@ -8,6 +8,7 @@ same independent routes.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,60 @@ def test_contribution_ci_degenerate_edges():
         contribution_ci(1.0, 5.0, 10, alpha=math.nan)
 
 
+def test_contribution_ci_survives_an_overflowing_mass():
+    # (n - 1) lt1 or b * kappa leaves the double range; the interval is
+    # found at a common power-of-two scale, where nothing overflows
+    ci = contribution_ci(1e308, 1.0, 10)
+    assert (ci.lower, ci.upper) == (1.0, 1.0)
+    ci = contribution_ci(1e308, 0.0, 10)
+    assert (ci.lower, ci.upper) == (1.0, 1.0)
+    ci = contribution_ci(0.0, 1e308, 10)
+    assert (ci.lower, ci.upper) == (0.0, 0.0)
+
+
+_SIGNIFICANDS = st.just(0.0) | st.floats(1.0, 2.0, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    lt1=st.tuples(_SIGNIFICANDS, st.integers(-100, 100)),
+    kappa=st.tuples(_SIGNIFICANDS, st.integers(-100, 100)),
+    n=st.integers(3, 80),
+    top=st.integers(-700, 1023) | st.integers(1000, 1023),
+)
+def test_contribution_ci_is_exact_under_power_of_two_scaling(lt1, kappa, n, top):
+    # a common power of two leaves the interval's bits unchanged, also
+    # where (n - 1) lt1 or b * kappa leaves the double range. The larger
+    # value is scaled to binary exponent `top`, so every scaled value
+    # stays between 2^-900 and 2^1024, clear of the subnormals
+    if lt1[0] == 0.0 and kappa[0] == 0.0:
+        return
+    shift = top - max(e for m, e in (lt1, kappa) if m)
+    lt1, kappa = math.ldexp(*lt1), math.ldexp(*kappa)
+    scaled = contribution_ci(math.ldexp(lt1, shift), math.ldexp(kappa, shift), n)
+    ci = contribution_ci(lt1, kappa, n)
+    assert (scaled.lower, scaled.upper) == (ci.lower, ci.upper)
+
+
+def test_counts_must_be_integers():
+    # a fractional count used to be truncated, and an infinite one raised
+    # a bare OverflowError; each is now named
+    calls = [
+        ("n", lambda v: contribution_ci(1.0, 5.0, v)),
+        ("df", lambda v: optimal_ab(v, 0.05)),
+        ("n1", lambda v: f1_test(1.0, 1.0, v, 20)),
+        ("n2", lambda v: f1_test(1.0, 1.0, 10, v)),
+        ("nu1", lambda v: asymptotic_power(v, 19, 1.5)),
+        ("nu2", lambda v: asymptotic_power(9, v, 1.5)),
+    ]
+    for name, call in calls:
+        for value in (10.9, 10.0, math.inf, math.nan, True, "10"):
+            with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+                call(value)
+        call(np.int64(10))  # numpy integers are counts too
+    assert contribution_ci(1.0, 5.0, np.int32(10)) == contribution_ci(1.0, 5.0, 10)
+
+
 def test_contribution_ci_covers_iff_pivot_in_pair():
     # in the limit model the interval covers the true ratio exactly when
     # the chi-square pivot lands in [a, b]; check the equivalence per
@@ -263,6 +318,33 @@ def test_f1_rejects_bad_inputs():
         for alternative in ("two-sided", "less"):
             with pytest.raises(ValueError, match="alpha"):
                 f1_test(1.0, 1.0, 10, 20, alpha=alpha, alternative=alternative)
+
+
+def test_non_finite_eigenvalues_are_named_not_accepted():
+    # a nan eigenvalue gave a nan statistic, which no critical value
+    # rejects; nan and +-inf are now a ValueError, not a degenerate spectrum
+    e1 = np.array([1.0, 0.0, 0.0])
+    good = _fake_estimate(2.0, 2.0, e1)
+    for value in (math.nan, math.inf, -math.inf):
+        for alternative in ("two-sided", "less"):
+            for args, name in (((value, 1.0), "lt1"), ((1.0, value), "lt2")):
+                with pytest.raises(ValueError, match=f"^{name} must be finite") as info:
+                    f1_test(*args, 10, 20, alternative=alternative)
+                assert not isinstance(info.value, DegenerateSpectrumError)
+        bad = _fake_estimate(value, 2.0, e1)
+        for test in (f2_test, f3_test):
+            for pair, sample in (((bad, good), 1), ((good, bad), 2)):
+                name = re.escape(f"lambda_tilde_1 (sample {sample}) must be finite")
+                with pytest.raises(ValueError, match=name) as info:
+                    test(*pair)
+                assert not isinstance(info.value, DegenerateSpectrumError)
+        # F3's tail masses go through the same check
+        bad_tail = _fake_estimate(2.0, value, e1)
+        for pair, sample in (((bad_tail, good), 1), ((good, bad_tail), 2)):
+            name = re.escape(f"kappa_tilde (sample {sample}) must be finite")
+            with pytest.raises(ValueError, match=name) as info:
+                f3_test(*pair)
+            assert not isinstance(info.value, DegenerateSpectrumError)
 
 
 def test_direction_h_known_angle():

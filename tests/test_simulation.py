@@ -494,35 +494,45 @@ def test_large_d_monte_carlo_output_is_frozen(workers):
     )
 
 
-# one warm-up replication in each worker, then minor page faults per
-# d = 8192 estimation replication over 16 more
+# minor page faults per replication, through a study's own map: each job
+# runs one warm-up replication, then 16 more, of the d = 8192 estimation
+# study or the d = 2048 two-sample study
 _FAULTS_PER_REP = """
 import resource
+import sys
+from functools import partial
 from nrpca import simulation
-from nrpca.parallel import ordered_map
 
-def faults_per_rep(job):
-    simulation._estimation_rep("b", 10, 5, 8192, 100 + job)
+REPS = {
+    8192: partial(simulation._estimation_rep, "b", 10, 5),
+    2048: partial(simulation._test_rep, 10, 20, 0.05, 5),
+}
+
+def faults_per_rep(d, job):
+    REPS[d](d, 100 + job)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for rep in range(16):
-        simulation._estimation_rep("b", 10, 5, 8192, rep)
-    return (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 16
+        REPS[d](d, rep)
+    return ((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 16,)
 
-print(max(ordered_map(faults_per_rep, [0, 1], workers=2)))
+faults = simulation._map_reps(faults_per_rep, [8192, 2048], 2, int(sys.argv[1]))
+print(faults.max())
 """
 
 
 @pytest.mark.skipif(parallel._mallopt() is None, reason="no mallopt in this C library")
-def test_pool_workers_keep_their_freed_memory():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_studies_keep_their_freed_memory(workers):
     # without the heap policy each replication gives its arrays back to
-    # the kernel and faults them in again: about 600 faults, not 6. A
-    # fresh interpreter, because glibc raises its thresholds as a process
-    # frees large blocks, and forked workers inherit what the parent did
+    # the kernel and faults them in again: about 600 faults, not 6, at
+    # one worker as in a pool. A fresh interpreter, because glibc raises
+    # its thresholds as a process frees large blocks, and forked workers
+    # inherit what the parent did
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PER_REP],
+        [sys.executable, "-c", _FAULTS_PER_REP, str(workers)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
