@@ -16,17 +16,7 @@ is the chi-square(2) upper tail, which is exp(-x/2) in closed form.
 """
 
 from .dataio import load_matrix, save_matrix, standardize_rows
-from .estimators import (
-    DegenerateSpectrumError,
-    NrEstimate,
-    contribution_ratio,
-    kappa_tilde,
-    nr_eigenvalues,
-    nr_estimate,
-    pc_direction,
-    pc_scores,
-    score_mse,
-)
+from .estimators import DegenerateSpectrumError, NrEstimate, nr_estimate
 from .inference import (
     CiResult,
     JarqueBera,
@@ -77,13 +67,7 @@ __all__ = [
     "standardize_rows",
     "DegenerateSpectrumError",
     "NrEstimate",
-    "contribution_ratio",
-    "kappa_tilde",
-    "nr_eigenvalues",
     "nr_estimate",
-    "pc_direction",
-    "pc_scores",
-    "score_mse",
     "CiResult",
     "JarqueBera",
     "OrthogonalDirectionsError",

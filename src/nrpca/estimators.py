@@ -16,6 +16,11 @@ corrected eigenvalue drives the direction estimate
 
 a deliberately non-unit vector with ||h_tilde_1||^2 = lh_1/lt_1 >= 1,
 and the scores s_tilde_1j = sqrt((n-1) lambda_tilde_1) * u_hat_1j.
+
+`nr_estimate` is the one entry point and computes all of these in one
+pass; the fields and properties of `NrEstimate` expose each of them.
+`pc_direction` is internal: it stays a module-level function only so
+the benchmark tracer (`bench/tracing.py`) can wrap the direction matvec.
 """
 
 from __future__ import annotations
@@ -27,17 +32,7 @@ import numpy as np
 
 from .linalg import DataMatrix, center_columns, dual_covariance, sym_eigen
 
-__all__ = [
-    "DegenerateSpectrumError",
-    "NrEstimate",
-    "nr_eigenvalues",
-    "kappa_tilde",
-    "pc_direction",
-    "pc_scores",
-    "score_mse",
-    "contribution_ratio",
-    "nr_estimate",
-]
+__all__ = ["DegenerateSpectrumError", "NrEstimate", "nr_estimate"]
 
 # negatives beyond this fraction of the trace indicate numerical damage,
 # not the usual harmless round-off at an exact zero; relative to the
@@ -58,113 +53,10 @@ _NO_SPIKE = (
 )
 
 
-def nr_eigenvalues(
-    eigenvalues: np.ndarray, n: int, trace: float | None = None
-) -> np.ndarray:
-    """Noise-corrected eigenvalues lambda_tilde_1..lambda_tilde_{n-2}.
-
-    Parameters
-    ----------
-    eigenvalues : ndarray
-        The dual covariance spectrum (descending).
-    n : int
-        Sample count; the correction divides by n - 1 - i.
-    trace : float, optional
-        Total spectral mass. Defaults to the eigenvalue sum.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=np.float64)
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"need n >= 3 samples, got {n}")
-    if eigenvalues.size < n - 1:
-        raise ValueError(
-            f"expected at least {n - 1} eigenvalues for n={n}, got {eigenvalues.size}"
-        )
-    total = float(eigenvalues.sum()) if trace is None else float(trace)
-    leading = eigenvalues[: n - 2]
-    partial = np.cumsum(leading)
-    divisors = (n - 1) - np.arange(1, n - 1, dtype=np.float64)
-    corrected = leading - (total - partial) / divisors
-    if np.any(corrected < -_CLAMP_REL * abs(total)):
-        worst = float(corrected.min())
-        raise ValueError(
-            f"corrected eigenvalue {worst:.3e} is negative beyond round-off; "
-            "the input spectrum is not a valid descending dual spectrum"
-        )
-    return np.maximum(corrected, 0.0)
-
-
-def kappa_tilde(trace_dual: float, lambda_tilde_1: float) -> float:
-    """Tail-mass estimate: the trace left after the corrected first value.
-
-    Defined as trace_dual - lambda_tilde_1 (algebraically equal to
-    (n-1)(trace - lambda_hat_1)/(n-2)); clamped at zero only against
-    round-off since lambda_tilde_1 <= trace holds in exact arithmetic.
-    """
-    trace_dual = float(trace_dual)
-    lambda_tilde_1 = float(lambda_tilde_1)
-    value = trace_dual - lambda_tilde_1
-    if value < -_CLAMP_REL * abs(trace_dual):
-        raise ValueError(
-            f"lambda_tilde_1={lambda_tilde_1} exceeds trace={trace_dual}; "
-            "inputs are not from the same decomposition"
-        )
-    return max(value, 0.0)
-
-
 def pc_direction(xc: np.ndarray, u1: np.ndarray, scale: float) -> np.ndarray:
-    """Direction estimate (Xc u1)/sqrt(scale) with scale = (n-1)*lambda,
-    for a centered d x n array Xc.
-
-    With the conventional eigenvalue the result has unit norm; with the
-    corrected one the norm is sqrt(lambda_hat_1/lambda_tilde_1) >= 1.
-    """
-    scale = float(scale)
-    if scale <= 0.0:
-        raise DegenerateSpectrumError(
-            f"direction scale must be positive, got {scale}; "
-            "a vanished first eigenvalue leaves the direction undefined"
-        )
-    u1 = np.asarray(u1, dtype=np.float64)
-    n = xc.shape[1]
-    if u1.shape != (n,):
-        raise ValueError(f"u1 must have length n={n}, got shape {u1.shape}")
+    """Direction estimate (Xc u1)/sqrt(scale) with scale = (n-1)*lambda;
+    nr_estimate has already required the scale to be positive."""
     return (xc @ u1) / math.sqrt(scale)
-
-
-def pc_scores(u1: np.ndarray, lam: float, n: int) -> np.ndarray:
-    """Score estimates sqrt((n-1)*lam) * u1; all zero when lam is zero."""
-    lam = float(lam)
-    if lam < 0.0:
-        raise ValueError(f"lambda must be nonnegative, got {lam}")
-    u1 = np.asarray(u1, dtype=np.float64)
-    n = int(n)
-    if u1.shape != (n,):
-        raise ValueError(f"u1 must have length n={n}, got shape {u1.shape}")
-    return math.sqrt((n - 1) * lam) * u1
-
-
-def score_mse(estimated: np.ndarray, truth: np.ndarray) -> float:
-    """Mean squared difference between estimated and true scores."""
-    estimated = np.asarray(estimated, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if estimated.shape != truth.shape:
-        raise ValueError(
-            f"length mismatch: estimated {estimated.shape} vs truth {truth.shape}"
-        )
-    diff = estimated - truth
-    return float(diff @ diff) / diff.size
-
-
-def contribution_ratio(lambda_tilde_1: float, trace_dual: float) -> float:
-    """Fraction of total variance carried by the first component."""
-    trace_dual = float(trace_dual)
-    if trace_dual <= 0.0:
-        raise ValueError(f"trace must be positive, got {trace_dual}")
-    lambda_tilde_1 = float(lambda_tilde_1)
-    if lambda_tilde_1 < 0.0:
-        raise ValueError(f"lambda_tilde_1 must be nonnegative, got {lambda_tilde_1}")
-    return min(1.0, lambda_tilde_1 / trace_dual)
 
 
 @dataclass(frozen=True)
@@ -192,7 +84,8 @@ class NrEstimate:
 
     @property
     def contribution_ratio(self) -> float:
-        return contribution_ratio(float(self.lambda_tilde[0]), self.trace_dual)
+        """Fraction of total variance carried by the first component."""
+        return min(1.0, float(self.lambda_tilde[0]) / self.trace_dual)
 
     @property
     def h_tilde_norm_sq(self) -> float:
@@ -243,7 +136,15 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
     trace_dual = float(eigenvalues.sum())
     if trace_dual < _GRAM_UNDERFLOW:
         raise DegenerateSpectrumError(_NO_SPIKE)
-    lambda_tilde = nr_eigenvalues(eigenvalues, n, trace=trace_dual)
+    leading = eigenvalues[: n - 2]
+    divisors = (n - 1) - np.arange(1, n - 1, dtype=np.float64)
+    corrected = leading - (trace_dual - np.cumsum(leading)) / divisors
+    if np.any(corrected < -_CLAMP_REL * trace_dual):
+        raise ValueError(
+            f"corrected eigenvalue {float(corrected.min()):.3e} is negative "
+            "beyond round-off; the dual spectrum is not valid"
+        )
+    lambda_tilde = np.maximum(corrected, 0.0)
     lt1 = float(lambda_tilde[0])
     u1 = eigenvectors[:, 0]
     # the centered Gram has the ones vector in its null space, so a first
@@ -257,9 +158,10 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
         n=n,
         lambda_tilde=lambda_tilde,
         lambda_hat=lambda_hat,
-        kappa_tilde=kappa_tilde(trace_dual, lt1),
+        # lambda_tilde_1 <= trace in exact arithmetic; clamp the round-off
+        kappa_tilde=max(trace_dual - lt1, 0.0),
         trace_dual=trace_dual,
         h_tilde_1=pc_direction(xc, u1, (n - 1) * lt1),
-        scores_tilde=pc_scores(u1, lt1, n),
-        scores_hat=pc_scores(u1, float(lambda_hat[0]), n),
+        scores_tilde=math.sqrt((n - 1) * lt1) * u1,
+        scores_hat=math.sqrt((n - 1) * float(lambda_hat[0])) * u1,
     )

@@ -117,12 +117,21 @@ def _polar_normals(
 
 
 def _check_count(name: str, value, least: int = 0) -> int:
-    """`value` as an int of at least `least`; raises before any draw."""
+    """`value` as an int of at least `least` that a float can hold;
+    raises before any draw."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value}")
-    return int(value)
+    value = int(value)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} is too large for a float: an integer of "
+            f"{value.bit_length()} bits"
+        ) from None
+    return value
 
 
 def sample_std_normal(rng: np.random.Generator, size=None):

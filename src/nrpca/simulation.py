@@ -32,12 +32,14 @@ from functools import lru_cache, partial
 import numpy as np
 from scipy.signal import lfilter
 
-from .estimators import nr_estimate, score_mse
+from .estimators import nr_estimate
 from .inference import test_f1, test_f2, test_f3
 from .linalg import DataMatrix
 from .parallel import keep_freed_memory, ordered_map
 from .sampling import (
     Seed,
+    _check_count,
+    _check_seed,
     _polar_normals,
     make_stream,
     sample_scaled_t_vector,
@@ -79,10 +81,9 @@ class SpikeScenario:
     def __post_init__(self):
         if self.model not in ("a", "b"):
             raise ValueError(f"model must be 'a' or 'b', got {self.model!r}")
-        if self.d < 4:
-            raise ValueError(f"need d >= 4, got {self.d}")
-        if self.n < 3:
-            raise ValueError(f"need n >= 3, got {self.n}")
+        _check_count("d", self.d, 4)
+        _check_count("n", self.n, 3)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,10 @@ class TwoSampleScenario:
             raise ValueError(
                 f"hypothesis must be 'H0' or 'Ha', got {self.hypothesis!r}"
             )
-        if self.d < 8:
-            raise ValueError(f"need d >= 8, got {self.d}")
-        if self.n1 < 3 or self.n2 < 3:
-            raise ValueError(f"need n1, n2 >= 3, got ({self.n1}, {self.n2})")
+        _check_count("d", self.d, 8)
+        _check_count("n1", self.n1, 3)
+        _check_count("n2", self.n2, 3)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,8 @@ class TwoSampleDraw:
     truth: TwoSampleTruth
 
 
-@lru_cache(maxsize=64)
+# typed, so that 8.0 or True cannot hit the entry that 8 or 1 made
+@lru_cache(maxsize=64, typed=True)
 def spike_eigenvalues(model: str, d: int) -> np.ndarray:
     """Population eigenvalue vector for the given scenario model.
 
@@ -140,8 +142,7 @@ def spike_eigenvalues(model: str, d: int) -> np.ndarray:
     """
     if model not in ("a", "b"):
         raise ValueError(f"model must be 'a' or 'b', got {model!r}")
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    d = _check_count("d", d, 1)
     index = np.arange(1, d + 1, dtype=np.float64)
     if model == "a":
         values = float(d) ** (1.0 / index)
@@ -193,16 +194,14 @@ def gen_ar1(
     multiply, one add) matches the recursion bit for bit. With `size`
     set, returns d x size columns driven by independent innovations.
     """
-    d = int(d)
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    d = _check_count("d", d, 1)
     rho = float(rho)
     if not -1.0 < rho < 1.0:
         raise ValueError(f"need |rho| < 1, got {rho}")
     scale = float(scale)
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
-    shape = (d,) if size is None else (d, int(size))
+    shape = (d,) if size is None else (d, _check_count("size", size))
     e = sample_std_normal(rng, shape)
     e[0] *= math.sqrt(scale)
     e[1:] *= math.sqrt(scale * (1.0 - rho * rho))
@@ -355,13 +354,15 @@ def _estimation_rep(
     draw = gen_spiked(SpikeScenario(model=model, d=d, n=n, seed=seed), rng)
     est = nr_estimate(draw.x).aligned_with(draw.h1)
     lam1 = draw.lambda1
+    e_tilde = est.scores_tilde - draw.true_scores
+    e_hat = est.scores_hat - draw.true_scores
     return (
         float(est.lambda_tilde[0]) / lam1,
         float(est.lambda_hat[0]) / lam1,
         float(est.h_tilde_1 @ draw.h1),
         float(est.h_hat_1 @ draw.h1),
-        score_mse(est.scores_tilde, draw.true_scores) / lam1,
-        score_mse(est.scores_hat, draw.true_scores) / lam1,
+        float(e_tilde @ e_tilde) / n / lam1,
+        float(e_hat @ e_hat) / n / lam1,
     )
 
 
@@ -427,12 +428,12 @@ def run_estimation_mc(
     products, and normalized score mean squared errors. Deterministic
     for a fixed seed regardless of `workers`.
     """
-    if reps < 2:
-        raise ValueError(f"need at least 2 replications, got {reps}")
-    d_list = [int(d) for d in d_values]
+    reps = _check_count("reps", reps, 2)
+    n = _check_count("n", n, 3)
+    d_list = [_check_count("d_values", d) for d in d_values]
     if not d_list:
         raise ValueError("d_values must be nonempty")
-    seed = int(seed)
+    seed = _check_seed(seed)
     for d in d_list:
         SpikeScenario(model=model, d=d, n=n, seed=seed)  # validate early
     values = _map_reps(
@@ -475,16 +476,17 @@ def run_test_mc(
     independent substreams keyed by (seed, d, replication, arm).
     Deterministic for a fixed seed regardless of `workers`.
     """
-    reps = int(reps)
-    if reps < 2 or reps % 2:
+    reps = _check_count("reps", reps, 2)
+    n1, n2 = _check_count("n1", n1, 3), _check_count("n2", n2, 3)
+    if reps % 2:
         raise ValueError(f"reps must be even and at least 2, got {reps}")
     alpha = float(alpha)
     if not 0.0 <= alpha < 0.5:
         raise ValueError(f"alpha must lie in [0, 1/2), got {alpha}")
-    d_list = [int(d) for d in d_values]
+    d_list = [_check_count("d_values", d) for d in d_values]
     if not d_list:
         raise ValueError("d_values must be nonempty")
-    seed = int(seed)
+    seed = _check_seed(seed)
     half = reps // 2
     names = ("f1", "f2", "f3")
     for d in d_list:

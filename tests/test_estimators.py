@@ -13,15 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nrpca.estimators import (
-    DegenerateSpectrumError,
-    contribution_ratio,
-    kappa_tilde,
-    nr_eigenvalues,
-    nr_estimate,
-    pc_scores,
-    score_mse,
-)
+from nrpca.estimators import DegenerateSpectrumError, nr_estimate
 from nrpca.linalg import DataMatrix
 
 
@@ -41,35 +33,15 @@ def _oracle(x: np.ndarray):
     return trace, lam_hat, np.maximum(lam_tilde, 0.0)
 
 
-def test_nr_eigenvalues_two_point_case():
-    # n=3: single corrected value lam1 - (trace - lam1) / 1
-    out = nr_eigenvalues(np.array([2.0, 1.0, 0.0]), n=3)
-    assert out.shape == (1,)
-    assert out[0] == pytest.approx(1.0, abs=1e-15)
-
-
-def test_nr_eigenvalues_rank_one_spectrum_unchanged():
-    out = nr_eigenvalues(np.array([7.5, 0.0, 0.0, 0.0, 0.0]), n=5)
-    assert out[0] == pytest.approx(7.5, abs=1e-15)
-    assert np.all(out[1:] == 0.0)
-
-
 def test_nr_eigenvalues_matches_loop_oracle():
     rng = np.random.default_rng(21)
-    for n in (4, 7, 12, 30):
+    for n in (3, 4, 7, 12, 30):
         x = rng.normal(size=(60, n)) * np.linspace(4, 0.2, 60)[:, None]
-        trace, lam_hat, want = _oracle(x)
-        got = nr_eigenvalues(np.concatenate([lam_hat, [0.0]]), n=n, trace=trace)
+        _, _, want = _oracle(x)
+        got = nr_estimate(x).lambda_tilde
+        assert got.shape == (n - 2,)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
         assert np.all(got >= 0.0)
-
-
-def test_kappa_tilde_known_totals():
-    assert kappa_tilde(12582.0, 1256.0) == pytest.approx(11326.0)
-    assert kappa_tilde(5.0, 5.0) == 0.0
-    # a first value above the trace is inconsistent input, not degeneracy
-    with pytest.raises(ValueError):
-        kappa_tilde(5.0, 6.0)
 
 
 def test_kappa_tilde_agrees_with_trailing_average_form():
@@ -83,20 +55,6 @@ def test_kappa_tilde_agrees_with_trailing_average_form():
     assert est.kappa_tilde == pytest.approx(other, rel=1e-10)
 
 
-def test_pc_scores_zero_eigenvalue_gives_zeros():
-    u = np.array([0.5, -0.5, 0.5, -0.5])
-    assert np.all(pc_scores(u, 0.0, 4) == 0.0)
-
-
-def test_score_mse_hand_case():
-    assert score_mse(np.array([1.0, 2.0]), np.array([0.0, 4.0])) == 2.5
-
-
-def test_contribution_ratio_caps_at_one():
-    assert contribution_ratio(3.0, 3.0) == 1.0
-    assert contribution_ratio(1.0, 4.0) == 0.25
-
-
 def test_rank_one_data_recovers_direction_exactly():
     rng = np.random.default_rng(5)
     h = rng.normal(size=40)
@@ -108,6 +66,7 @@ def test_rank_one_data_recovers_direction_exactly():
     # with no trailing spectrum the corrected and raw eigenvalues agree
     assert est.lambda_tilde[0] == pytest.approx(est.lambda_hat[0], rel=1e-10)
     assert est.kappa_tilde <= 1e-10 * est.lambda_tilde[0]
+    assert 1.0 - 1e-10 <= est.contribution_ratio <= 1.0
 
 
 def test_pipeline_matches_oracle():
@@ -180,11 +139,6 @@ def test_equal_spectrum_raises_degenerate_error():
 def test_constant_rows_raise_degenerate_error(x):
     with pytest.raises(DegenerateSpectrumError):
         nr_estimate(x)
-
-
-def test_nr_eigenvalues_rejects_small_n():
-    with pytest.raises(ValueError):
-        nr_eigenvalues(np.array([1.0, 0.5]), n=2)
 
 
 # the properties run a fixed example set, so a run cannot fail by chance
@@ -294,7 +248,7 @@ def test_power_of_two_scaling_is_exact(k):
         # and without this check the ratio comes out 2.3 times too large
         _small_data_spike() * 2.0**-540,
         # this subnormal Gram's correction dips below the round-off floor,
-        # so the check must run before nr_eigenvalues raises a plain error
+        # so the check must run before the round-off check raises a plain error
         np.random.default_rng(24).standard_normal((6, 5)) * 2.0**-537,
     ],
     ids=["spike", "below_floor"],

@@ -70,3 +70,17 @@ def test_every_public_name_resolves():
     assert nrpca.run_test_mc is simulation.run_test_mc
     assert nrpca.McSummary is simulation.McSummary
     assert not hasattr(nrpca, "no_such_name")
+
+
+def test_folded_estimator_helpers_are_gone():
+    # nr_estimate computes these inline; NrEstimate carries their results
+    for name in (
+        "nr_eigenvalues",
+        "kappa_tilde",
+        "pc_direction",
+        "pc_scores",
+        "score_mse",
+        "contribution_ratio",
+    ):
+        assert not hasattr(nrpca, name), name
+        assert name not in nrpca.__all__, name

@@ -218,8 +218,8 @@ def test_contribution_ci_is_exact_under_power_of_two_scaling(lt1, kappa, n, top)
 
 
 def test_counts_must_be_integers():
-    # a fractional count used to be truncated, and an infinite one raised
-    # a bare OverflowError; each is now named
+    # a fractional count used to be truncated, and an infinite one or one
+    # past the double range raised a bare OverflowError; each is now named
     calls = [
         ("n", lambda v: contribution_ci(1.0, 5.0, v)),
         ("df", lambda v: optimal_ab(v, 0.05)),
@@ -232,6 +232,9 @@ def test_counts_must_be_integers():
         for value in (10.9, 10.0, math.inf, math.nan, True, "10"):
             with pytest.raises(TypeError, match=f"^{name} must be an integer"):
                 call(value)
+        with pytest.raises(ValueError, match=f"^{name} is too large for a float"):
+            call(10**400)
+        call(2**62)  # a large count that a float holds still works
         call(np.int64(10))  # numpy integers are counts too
     assert contribution_ci(1.0, 5.0, np.int32(10)) == contribution_ci(1.0, 5.0, 10)
 

@@ -9,6 +9,7 @@ Carlo output bit for bit.
 
 import concurrent.futures
 import hashlib
+import json
 import math
 import multiprocessing
 import os
@@ -18,8 +19,9 @@ import sys
 import numpy as np
 import pytest
 
-from nrpca import dataio, parallel
+from nrpca import dataio, parallel, simulation
 from nrpca.dataio import load_matrix
+from nrpca.estimators import nr_estimate
 from nrpca.sampling import make_stream, sample_std_normal
 from nrpca.simulation import (
     SpikeScenario,
@@ -358,6 +360,21 @@ def test_run_estimation_mc_keep_samples_shapes():
     assert plain.samples is None
 
 
+def test_run_estimation_mc_score_mse_matches_a_recomputation():
+    seed, d, n, reps = 7, 16, 10, 4
+    out = run_estimation_mc("b", [d], n=n, reps=reps, seed=seed, keep_samples=True)
+    scenario = SpikeScenario(model="b", d=d, n=n, seed=seed)
+    for rep in range(reps):
+        draw = gen_spiked(scenario, make_stream(seed, d, rep, 0))
+        est = nr_estimate(draw.x)
+        # the true direction is the first axis: point the estimate along it
+        sign = 1.0 if est.h_tilde_1[0] >= 0.0 else -1.0
+        for name, scores in (("tilde", est.scores_tilde), ("hat", est.scores_hat)):
+            want = np.mean((sign * scores - draw.true_scores) ** 2) / draw.lambda1
+            got = out.samples[(d, f"mse_{name}")][rep]
+            assert got == pytest.approx(want, rel=1e-12), (rep, name)
+
+
 def test_run_estimation_mc_rejects_bad_inputs():
     with pytest.raises(ValueError):
         run_estimation_mc("a", [8], reps=1)
@@ -365,6 +382,51 @@ def test_run_estimation_mc_rejects_bad_inputs():
         run_estimation_mc("a", [], reps=4)
     with pytest.raises(ValueError):
         run_estimation_mc("q", [8], reps=4)
+
+
+def test_simulation_counts_and_seeds_must_be_integers(monkeypatch):
+    # each used to be truncated by int() or to fail inside a replication
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication started before the checks")
+
+    monkeypatch.setattr(simulation, "_map_reps", no_replications)
+    rng = make_stream(0, 1)
+    calls = [
+        ("n1", lambda: run_test_mc([8], n1=10.0, n2=12, reps=2)),
+        ("n", lambda: run_estimation_mc("b", [8], n=10.0, reps=2)),
+        ("reps", lambda: run_estimation_mc("b", [8], reps=3.5)),
+        ("reps", lambda: run_test_mc([8], reps=4.5)),
+        ("d_values", lambda: run_test_mc([8.9], reps=4)),
+        ("d_values", lambda: run_estimation_mc("b", [8.0], reps=2)),
+        ("seed", lambda: run_estimation_mc("b", [8], reps=2, seed=1.7)),
+        ("seed", lambda: run_test_mc([8], reps=2, seed=2.0)),
+        ("d", lambda: gen_ar1(8.9, 0.3, 1.0, rng)),
+        ("size", lambda: gen_ar1(8, 0.3, 1.0, rng, size=2.7)),
+        ("d", lambda: spike_eigenvalues("a", 8.9)),
+        ("d", lambda: SpikeScenario(model="a", d=True, n=10, seed=0)),
+        ("n2", lambda: TwoSampleScenario(hypothesis="H0", d=8, n1=10, n2=20.0, seed=0)),
+    ]
+    for name, call in calls:
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            call()
+    spike_eigenvalues("a", 8)
+    with pytest.raises(TypeError, match="^d must be an integer"):
+        spike_eigenvalues("a", 8.0)  # not the cached entry for 8
+    with pytest.raises(ValueError, match="^seed must be a 64-bit"):
+        run_test_mc([8], reps=2, seed=-1)
+
+
+def test_numpy_integer_counts_give_the_same_rows():
+    plain = run_estimation_mc("b", [8], n=5, reps=3, seed=3)
+    typed = run_estimation_mc(
+        "b", [np.int64(8)], n=np.int32(5), reps=np.int64(3), seed=np.uint64(3)
+    )
+    assert json.dumps(typed.as_records()) == json.dumps(plain.as_records())
+    plain = run_test_mc([8], n1=5, n2=6, reps=2, seed=3)
+    typed = run_test_mc(
+        [np.int16(8)], n1=np.int64(5), n2=np.int64(6), reps=np.int64(2), seed=np.int64(3)
+    )
+    assert json.dumps(typed.as_records()) == json.dumps(plain.as_records())
 
 
 def test_run_test_mc_alpha_zero_never_rejects():
