@@ -6,11 +6,12 @@ when variables vastly outnumber samples. On top of it sit a confidence
 interval for the first contribution ratio, three F-based equality tests
 for two covariance spectra, and a deterministic Monte Carlo harness.
 
-Importing the package loads numpy only. The Monte Carlo names
-(`run_estimation_mc`, `gen_ar1`, ... from `simulation`) resolve on first
-access, and `inference` imports scipy.special (its chi-square and F
-functions) and scipy.optimize (`optimal_ab`) on first call, so
-`import nrpca` and the non-simulating CLI commands start without scipy.
+Importing the package loads numpy only. The Monte Carlo harness is the
+`nrpca.simulation` module (`run_estimation_mc`, `run_test_mc`, ...): it
+loads scipy.signal, so the package does not import it. `inference`
+imports scipy.special (its chi-square and F functions) and
+scipy.optimize (`optimal_ab`) on first call, so `import nrpca` and the
+non-simulating CLI commands start without scipy.
 `nrpca estimate` never loads it: the Jarque-Bera p-value of its scores
 is the chi-square(2) upper tail, which is exp(-x/2) in closed form.
 """
@@ -41,22 +42,6 @@ from .linalg import (
     sym_eigen,
 )
 from .sampling import derive_key, make_stream, splitmix64
-# resolved by __getattr__ on first access (PEP 562)
-_SIMULATION_NAMES = frozenset(
-    {
-        "EstimationRow",
-        "McSummary",
-        "SpikeScenario",
-        "TestRow",
-        "TwoSampleScenario",
-        "gen_ar1",
-        "gen_spiked",
-        "gen_two_sample",
-        "run_estimation_mc",
-        "run_test_mc",
-        "spike_eigenvalues",
-    }
-)
 
 __version__ = "0.1.0"
 
@@ -90,23 +75,5 @@ __all__ = [
     "derive_key",
     "make_stream",
     "splitmix64",
-    "EstimationRow",
-    "McSummary",
-    "SpikeScenario",
-    "TestRow",
-    "TwoSampleScenario",
-    "gen_ar1",
-    "gen_spiked",
-    "gen_two_sample",
-    "run_estimation_mc",
-    "run_test_mc",
-    "spike_eigenvalues",
 ]
 
-
-def __getattr__(name: str):
-    if name in _SIMULATION_NAMES:
-        from . import simulation
-
-        return getattr(simulation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

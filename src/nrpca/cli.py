@@ -9,9 +9,8 @@ rows-as-variables; `--transpose` covers the other orientation and
 
 Output goes to stdout (or `--out`) as JSON, except `simulate`, which
 defaults to one CSV row per dimension. All randomness flows from
-`--seed` (default 1729). `simulate --workers` changes wall time but never
-results; NRPCA_WORKERS applies to `simulate` only and sets the worker
-count when the flag is absent (`--workers`, then NRPCA_WORKERS, then 1).
+`--seed` (default 1729). `simulate --workers` (default 1) changes wall
+time but never results; the library checks its value.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -36,10 +34,9 @@ from .inference import (
 )
 from .linalg import DataMatrix
 
-__all__ = ["DEFAULT_SEED", "WORKERS_ENV", "main"]
+__all__ = ["DEFAULT_SEED", "main"]
 
 DEFAULT_SEED = 1729
-WORKERS_ENV = "NRPCA_WORKERS"
 
 
 def _prepared_matrix(path: str, args: argparse.Namespace) -> DataMatrix:
@@ -165,8 +162,6 @@ def _cmd_test(args: argparse.Namespace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> None:
     from .simulation import run_estimation_mc, run_test_mc  # loads scipy.signal
 
-    if args.workers < 1:
-        raise ValueError(f"workers must be at least 1, got {args.workers}")
     reps = {} if args.reps is None else {"reps": args.reps}
     if args.study == "pc":
         summary = run_estimation_mc(
@@ -296,10 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_sim.add_argument(
-        "--workers", type=int, default=os.environ.get(WORKERS_ENV, 1),
-        help=f"process count; default ${WORKERS_ENV} or 1",
-    )
+    p_sim.add_argument("--workers", type=int, default=1, help="process count")
     _add_output_flags(p_sim, "csv")
     p_sim.set_defaults(handler=_cmd_simulate)
 

@@ -24,7 +24,8 @@ blocks are joined in file order. The result and every error message
 depend on neither that count nor the block size; there is no option
 for either. A file with CR-only line endings has no line feed to cut
 at, so it is one block and parses serially. A pipe is copied to a
-temporary file first. Each block reports its line count, its first
+temporary file first. Each block parses its non-blank lines alike,
+leaving out the file's first one, and reports its line count, its first
 ragged line and whether its column 0 holds text, without raising; the
 header, label and width rules are applied once, to the whole file.
 Only a block that holds a bad cell is read again, from its own bytes,
@@ -229,39 +230,37 @@ def _block_bounds(handle, first_end: int, size: int) -> list[int]:
 
 
 def _parse_block(
-    path: str, width: int, lo: int, hi: int, start: int | None
+    path: str, width: int, lo: int, hi: int, first: bool
 ) -> tuple[int, tuple[int, str] | None, bool, np.ndarray | None]:
-    """Parse the non-blank lines in bytes [lo, hi) of `path`.
+    """Parse the non-blank lines in bytes [lo, hi) of `path`, all alike.
 
-    `start` is None unless the block holds the file's first non-blank
-    line; then it is 1 when that line is a header at full width, else 0.
+    `first` is True for the block that holds the file's first non-blank
+    line, which it leaves out: `_load` decides that line's role.
     Returns the block's line count; the index and error text of its
     first ragged, not UTF-8 or open-quoted line, or None; whether column
-    0 below the file's first line holds text; and the values, None where
-    a cell does not parse. The values have all `width` columns, or, when
-    column 0 holds text, columns 1 on.
+    0 holds text; and the values, None where a cell does not parse. The
+    values have all `width` columns, or, when column 0 holds text,
+    columns 1 on.
     """
     count, keep, lines, fault = _read_lines(path, lo, hi)
+    if first:
+        keep, lines = keep[1:], lines[1:]
     ragged = _first_ragged(width, lines)
     if ragged is not None:
         k, found = ragged
         return count, (keep[k], _ragged(width, found)), False, None
     if fault is not None:
         return count, (count, fault), False, None
-    skip = start or 0
-    if len(lines) == skip:
+    if not lines:
         return count, None, False, np.empty((0, width))
     try:
-        return count, None, False, _parse(lines[skip:], range(width))
+        return count, None, False, _parse(lines, range(width))
     except ValueError:
         # the label rule: any non-numeric first cell below the first line
-        if _parses(lines[0 if start is None else 1 :], [0]):
+        if _parses(lines, [0]):
             return count, None, False, None
-    cols = range(1, width)
-    if start is not None:
-        skip = 0 if _parses(lines[:1], cols) else 1
     try:
-        return count, None, True, _parse(lines[skip:], cols)
+        return count, None, True, _parse(lines, range(1, width))
     except ValueError:
         return count, None, True, None
 
@@ -314,13 +313,12 @@ def _load(name: str, handle, path: str) -> DataMatrix:
     size = handle.seek(0, os.SEEK_END)
     bounds = _block_bounds(handle, first_end, size)
     width = len(_cells(first))
-    start = 0 if _parses([first], range(width)) else 1  # 1: a header row
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = ordered_map(
         partial(_parse_block, path, width),
         bounds[:-1],
         bounds[1:],
-        [start] + [None] * (len(bounds) - 2),
+        [True] + [False] * (len(bounds) - 2),
         workers=cpus,
     )
     linenos = list(accumulate((count for count, *_ in parts), initial=1))
@@ -328,26 +326,28 @@ def _load(name: str, handle, path: str) -> DataMatrix:
         if fault is not None:
             k, text = fault
             raise _fault(name, lineno + k, text)
-    if start and all(part is not None and not len(part) for *_, part in parts):
-        raise ValueError(f"{name}: no data rows below the header")
     labels = any(labelled for _, _, labelled, _ in parts)
     cols = range(1 if labels else 0, width)
+    # the header rule, applied once: the first line is data if it parses
+    try:
+        row, head = _parse([first], cols), False
+    except ValueError:
+        row, head = None, True
+    if head and all(part is not None and not len(part) for *_, part in parts):
+        raise ValueError(f"{name}: no data rows below the header")
     if len(cols) < 3:
         raise ValueError(
             f"{name}: need at least 3 data columns (samples), found {len(cols)}"
         )
 
-    # a first block without labels of its own left out a first line that
-    # failed at full width: without column 0 it may be data
-    head = labels and start and not parts[0][2] and _parses([first], cols)
     pieces = []
     for block, (_, _, labelled, part) in enumerate(parts):
         if part is not None and labels and not labelled:
             part = part[:, 1:]
-        if part is not None and head and not block:
-            part = np.concatenate([_parse([first], cols), part])
+        if part is not None and not head and not block:
+            part = np.concatenate([row, part])
         if part is None or not np.isfinite(part).all():
-            skip = 0 if block or _parses([first], cols) else 1
+            skip = int(head and not block)
             lo, hi = bounds[block : block + 2]
             raise _bad_cell(name, path, lo, hi, linenos[block], skip, cols, width)
         pieces.append(part)

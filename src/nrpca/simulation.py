@@ -33,7 +33,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .estimators import nr_estimate
-from .inference import test_f1, test_f2, test_f3
+from .inference import _check_test_alpha, test_f1, test_f2, test_f3
 from .linalg import DataMatrix
 from .parallel import keep_freed_memory, ordered_map
 from .sampling import (
@@ -430,6 +430,7 @@ def run_estimation_mc(
     """
     reps = _check_count("reps", reps, 2)
     n = _check_count("n", n, 3)
+    workers = _check_count("workers", workers, 1)
     d_list = [_check_count("d_values", d) for d in d_values]
     if not d_list:
         raise ValueError("d_values must be nonempty")
@@ -480,9 +481,8 @@ def run_test_mc(
     n1, n2 = _check_count("n1", n1, 3), _check_count("n2", n2, 3)
     if reps % 2:
         raise ValueError(f"reps must be even and at least 2, got {reps}")
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError(f"alpha must lie in [0, 1/2), got {alpha}")
+    workers = _check_count("workers", workers, 1)
+    alpha = _check_test_alpha(alpha)
     d_list = [_check_count("d_values", d) for d in d_values]
     if not d_list:
         raise ValueError("d_values must be nonempty")

@@ -1,5 +1,7 @@
 """Command surface: argument handling, output formats, reproducibility."""
 
+import csv
+import io
 import json
 import os
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nrpca import dataio, parallel
-from nrpca.cli import DEFAULT_SEED, WORKERS_ENV, build_parser, main
+from nrpca.cli import DEFAULT_SEED, build_parser, main
 from nrpca.dataio import load_matrix, save_matrix
 from nrpca.inference import contribution_ci
 from nrpca.sampling import make_stream
@@ -234,6 +236,44 @@ def test_test_command_one_sided_only_for_f1(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def _flat_json(record, prefix=""):
+    """(key, CSV text) pairs of a JSON record: nested keys joined by a
+    dot, lists as `;`-joined float reprs, None as an empty cell."""
+    for key, value in record.items():
+        name = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _flat_json(value, f"{name}.")
+        elif isinstance(value, list):
+            yield name, ";".join(repr(float(v)) for v in value)
+        else:
+            yield name, "" if value is None else str(value)
+
+
+@pytest.mark.parametrize("command", ["estimate", "ci", "test", "power"])
+def test_csv_format_flattens_the_json_record(capsys, tmp_path, command):
+    p1, p2 = _two_sample_files(tmp_path, "Ha")
+    argv = {
+        "estimate": ["estimate", "--input", p1],
+        "ci": ["ci", "--input", p1],
+        "test": ["test", "--input1", p1, "--input2", p2, "--mode", "f2"],
+        "power": ["power", "--nu1", "9", "--nu2", "11", "--ratio", "1.5"],
+    }[command]
+    code, out, err = _run(capsys, argv)
+    assert code == 0, err
+    expected = list(_flat_json(json.loads(out)))
+    code, out, err = _run(capsys, argv + ["--format", "csv"])
+    assert code == 0, err
+    header, values = csv.reader(io.StringIO(out))
+    assert header == [key for key, _ in expected]
+    assert values == [text for _, text in expected]
+    if command == "test":
+        assert "components.h_star" in header
+    if command == "estimate":
+        # the scores, as a list, and the n >= 8 Jarque-Bera screen
+        assert values[header.index("scores_tilde")].count(";") == 9
+        assert values[header.index("jb_p_value")] != ""
+
+
 def test_simulate_repeat_runs_byte_identical(capsys, tmp_path):
     argv = [
         "simulate", "--study", "pc", "--model", "a",
@@ -336,61 +376,16 @@ def test_non_finite_numbers_fail_with_one_named_error(capsys, argv, name):
     assert err.count("\n") == 1
 
 
-def test_workers_default_comes_from_environment(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "3")
-    args = build_parser().parse_args(["simulate", "--d", "8"])
-    assert args.workers == 3
-
-    args = build_parser().parse_args(["simulate", "--d", "8", "--workers", "1"])
-    assert args.workers == 1
-
-    monkeypatch.delenv(WORKERS_ENV)
-    args = build_parser().parse_args(["simulate", "--d", "8"])
-    assert args.workers == 1
-
-
-@pytest.mark.parametrize("value", ["0", "abc"])
-def test_workers_environment_ignored_outside_simulate(capsys, monkeypatch, value):
-    monkeypatch.setenv(WORKERS_ENV, value)
-    code, out, err = _run(
-        capsys, ["ci", "--lambda-tilde", "2717", "--kappa", "9865", "--n", "20"]
-    )
-    assert code == 0, err
-    assert json.loads(out)["df"] == 19
-    code, out, err = _run(
-        capsys, ["power", "--nu1", "9", "--nu2", "19", "--ratio", "1"]
-    )
-    assert code == 0, err
-    assert json.loads(out)["f1"] == pytest.approx(0.05, abs=1e-12)
-
-
 _TINY_SIMULATION = ["simulate", "--study", "tests", "--d", "8", "--R", "4"]
 
 
-def test_simulate_rejects_zero_workers(capsys, monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV, raising=False)
+def test_simulate_rejects_zero_workers(capsys):
+    # the library checks the count; the command reports it on one line
     code, out, err = _run(capsys, _TINY_SIMULATION + ["--workers", "0"])
     assert code == 1
     assert out == ""
-    assert err.startswith("error:")
-
-    monkeypatch.setenv(WORKERS_ENV, "0")
-    code, out, err = _run(capsys, _TINY_SIMULATION)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error:")
-
-
-def test_simulate_rejects_non_integer_workers_environment(capsys, monkeypatch):
-    # argparse converts the string default and reports a bad value by
-    # exiting with status 2 and naming the option.
-    monkeypatch.setenv(WORKERS_ENV, "abc")
-    with pytest.raises(SystemExit) as exit_info:
-        main(_TINY_SIMULATION)
-    assert exit_info.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--workers" in captured.err
+    assert err.startswith("error: workers must be")
+    assert err.count("\n") == 1
 
 
 def test_a_study_sets_the_heap_policy_once_and_the_loader_never(

@@ -417,17 +417,72 @@ def test_load_matrix_parses_the_body_once(tmp_path, monkeypatch, header, labels)
     assert load_matrix(str(path)).values.tobytes() == values.tobytes()
     full = tuple(range(5 + labels))
     data = full[labels:]
+    below = 40 + header - 1  # the lines below the first one
     if labels:
-        # the full-width tries fail on the first label cell; the label
-        # check, the header check and the body parse follow as before
-        assert [ok for *_, ok in calls[:2]] == [False, False]
-        assert calls[2:] == [
-            (40 + header - 1, (0,), False),
+        # the block fails at full width on its first label cell, then
+        # the label check and the body parse follow; the first line is
+        # parsed once, after the block, to decide whether it is a header
+        assert calls == [
+            (below, full, False),
+            (below, (0,), False),
+            (below, data, True),
             (1, data, not header),
-            (40, data, True),
         ]
     else:
-        assert calls == [(1, full, not header), (40, full, True)]
+        assert calls == [(below, full, True), (1, full, not header)]
+
+
+# cells of generated files: numbers, and cells that are not one
+_NUMBERS = ["0", "1", "-2.5", "3e2", " 4 ", "+.5", '"7"']
+_ODD_CELLS = ["1e400", "inf", "nan", "x", "", '"1,2"', '""', '"a""b"', '"9', "1_0"]
+# lines that hold no cell with content, and one that does: a quoted comma
+_FILLERS = ["", " ", ",", ",,", '""', '","']
+
+
+@st.composite
+def _csv_bytes(draw):
+    """A small CSV file: an optional header and label column, rows that
+    may be ragged or hold odd cells, filler lines, any line ending and an
+    optional byte-order mark."""
+    width = draw(st.integers(1, 5))
+    labels = draw(st.booleans())
+    lines = []
+    if draw(st.booleans()):
+        lines.append(",".join(["id"] * labels + [f"s{j}" for j in range(width)]))
+    kinds = st.sampled_from(["data"] * 5 + ["odd", "ragged", "filler"])
+    for i, kind in enumerate(draw(st.lists(kinds, max_size=10))):
+        if kind == "filler":
+            lines.append(draw(st.sampled_from(_FILLERS)))
+            continue
+        count = width + (draw(st.sampled_from([-1, 1])) if kind == "ragged" else 0)
+        pool = _NUMBERS + _ODD_CELLS if kind == "odd" else _NUMBERS
+        cells = draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+        lines.append(",".join([f"g{i}"] * labels + cells))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return b"\xef\xbb\xbf" * draw(st.booleans()) + text.encode()
+
+
+def _load_outcome(path):
+    """The loaded shape and bytes, or the error text."""
+    try:
+        values = load_matrix(str(path)).values
+    except ValueError as exc:
+        return str(exc)
+    return values.shape, values.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=_csv_bytes())
+def test_load_matrix_is_invariant_to_blocks_and_cores(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("generated") / "m.csv"
+    path.write_bytes(raw)
+    expected = _load_outcome(path)
+    for size, cores in ((40, 1), (40, 2), (16, 1), (16, 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_BLOCK_BYTES", size)
+            patch.setattr(dataio.os, "sched_getaffinity", lambda pid: set(range(cores)))
+            assert _load_outcome(path) == expected, (size, cores)
 
 
 def _load_through_pipe(fifo, text):
@@ -474,6 +529,10 @@ def test_load_matrix_needs_data_rows(tmp_path, monkeypatch):
     ):
         path.write_text(text)
         _raises_at_each_block_size(monkeypatch, path, f"{path}: {message}")
+    # a first line that parses is a data row, even with nothing below it
+    path.write_text("1,2,3\n\n")
+    for _ in _at_each_block_size(monkeypatch, cores=(1, 2)):
+        assert load_matrix(str(path)).values.tolist() == [[1.0, 2.0, 3.0]]
 
 
 def test_standardize_rows_unit_variance():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from nrpca import estimators
 from nrpca.estimators import DegenerateSpectrumError, nr_estimate
 from nrpca.linalg import DataMatrix
 
@@ -122,6 +123,18 @@ def test_equal_spectrum_raises_degenerate_error():
     # removes the top one entirely
     with pytest.raises(DegenerateSpectrumError):
         nr_estimate(DataMatrix(np.eye(4)))
+
+
+def test_invalid_dual_spectrum_raises_value_error(monkeypatch):
+    # an unsorted spectrum no eigensolver returns: at n = 4 the first
+    # corrected eigenvalue is 1 - (4 - 1)/2 = -0.5, far below round-off
+    def unsorted(gram):
+        return np.array([1.0, 3.0, 0.0, 0.0]), np.eye(4)
+
+    monkeypatch.setattr(estimators, "sym_eigen", unsorted)
+    with pytest.raises(ValueError, match="negative beyond round-off") as info:
+        nr_estimate(np.random.default_rng(2).normal(size=(6, 4)))
+    assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize(

@@ -65,10 +65,14 @@ def test_every_public_name_resolves():
         "print(missing)"
     )
     assert out.strip() == "[]"
-    from nrpca import simulation
+    # the Monte Carlo harness is imported as its own module only
+    from nrpca.simulation import McSummary, run_test_mc
 
-    assert nrpca.run_test_mc is simulation.run_test_mc
-    assert nrpca.McSummary is simulation.McSummary
+    assert callable(run_test_mc) and isinstance(McSummary, type)
+    for name in ("run_test_mc", "run_estimation_mc", "McSummary", "gen_ar1"):
+        assert not hasattr(nrpca, name), name
+        assert name not in nrpca.__all__, name
+    assert not hasattr(nrpca, "__getattr__")
     assert not hasattr(nrpca, "no_such_name")
 
 

@@ -406,9 +406,17 @@ def test_simulation_counts_and_seeds_must_be_integers(monkeypatch):
         ("d", lambda: SpikeScenario(model="a", d=True, n=10, seed=0)),
         ("n2", lambda: TwoSampleScenario(hypothesis="H0", d=8, n1=10, n2=20.0, seed=0)),
     ]
+    for w in (2.5, True, "2"):
+        calls.append(("workers", lambda w=w: run_test_mc([8], reps=2, workers=w)))
+        calls.append(("workers", lambda w=w: run_estimation_mc("b", [8], reps=2, workers=w)))
     for name, call in calls:
         with pytest.raises(TypeError, match=f"^{name} must be an integer"):
             call()
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+            run_test_mc([8], reps=2, workers=workers)
+        with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+            run_estimation_mc("b", [8], reps=2, workers=workers)
     spike_eigenvalues("a", 8)
     with pytest.raises(TypeError, match="^d must be an integer"):
         spike_eigenvalues("a", 8.0)  # not the cached entry for 8
