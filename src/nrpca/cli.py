@@ -111,20 +111,20 @@ def _cmd_estimate(args: argparse.Namespace) -> None:
 
 
 def _cmd_ci(args: argparse.Namespace) -> None:
-    have_summary = None not in (args.lambda_tilde, args.kappa, args.n_override)
-    if args.input is None and not have_summary:
-        raise ValueError(
-            "ci needs either --input or all of --lambda-tilde, --kappa and --n"
-        )
-    if args.input is not None and have_summary:
+    summary = (args.lambda_tilde, args.kappa, args.n_override)
+    if args.input is None:
+        if None in summary:
+            raise ValueError(
+                "ci needs either --input or all of --lambda-tilde, --kappa and --n"
+            )
+        lt1, kappa, n = summary
+    elif summary != (None, None, None):
         raise ValueError("ci takes --input or summary numbers, not both")
-    if args.input is not None:
+    else:
         est = nr_estimate(_prepared_matrix(args.input, args))
         lt1 = float(est.lambda_tilde[0])
         kappa = est.kappa_tilde
         n = est.n
-    else:
-        lt1, kappa, n = args.lambda_tilde, args.kappa, args.n_override
     result = contribution_ci(lt1, kappa, n, args.alpha)
     record = {"lambda_tilde_1": lt1, "kappa_tilde": kappa, "n": n}
     record.update(asdict(result))

@@ -322,6 +322,14 @@ def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
     """
     h1 = np.asarray(h1, dtype=np.float64)
     h2 = np.asarray(h2, dtype=np.float64)
+    if h1.ndim != 1 or h1.shape != h2.shape:
+        raise ValueError(
+            "direction vectors must be 1-D of one length, "
+            f"got shapes {h1.shape} and {h2.shape}"
+        )
+    for name, h in (("h1", h1), ("h2", h2)):
+        if not np.isfinite(h).all():
+            raise ValueError(f"direction vector {name} has a non-finite entry")
     norm1 = float(np.linalg.norm(h1))
     norm2 = float(np.linalg.norm(h2))
     if norm1 == 0.0 or norm2 == 0.0:

@@ -10,23 +10,27 @@ tail-mass factor under the alternative.
 
 Replications are embarrassingly parallel. Each replication draws from
 its own counter-based substream keyed by (seed, d, replication, arm).
-A study maps every (d, replication) pair through `parallel.ordered_map`,
-the pool the CSV loader uses too: at most one forked process per job,
-and a serial map in a daemonic process, which may not start processes.
-First it applies `parallel.keep_freed_memory` to the calling process,
-whose forked workers inherit it: replications reuse freed memory instead
-of faulting it in again. The setting outlives the call and never
-changes a value.
+Both studies run through one loop, `_run_study`. A study checks its
+arguments by building one frozen scenario per d, and those scenarios
+are the jobs: `_run_study` maps every (scenario, replication) pair
+through `parallel.ordered_map`, the pool the CSV loader uses too: at
+most one forked process per job, and a serial map in a daemonic
+process, which may not start processes. First it applies
+`parallel.keep_freed_memory` to the calling process, whose forked
+workers inherit it: replications reuse freed memory instead of faulting
+it in again. The setting outlives the call and never changes a value.
 Jobs are submitted largest d first, so the pool's last chunks are the
-cheapest, and the results are put back in (d, replication) order. As
-each replication is a pure function of (seed, d, replication), a run is
-byte-identical for any worker count and any order of the d values.
+cheapest, and the results are put back in (d, replication) order, where
+the study's summary turns each d's values into its row and its named
+per-replication samples. As each replication is a pure function of
+(seed, d, replication), a run is byte-identical for any worker count
+and any order of the d values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -199,8 +203,8 @@ def gen_ar1(
     if not -1.0 < rho < 1.0:
         raise ValueError(f"need |rho| < 1, got {rho}")
     scale = float(scale)
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     shape = (d,) if size is None else (d, _check_count("size", size))
     e = sample_std_normal(rng, shape)
     e[0] *= math.sqrt(scale)
@@ -293,9 +297,6 @@ class EstimationRow:
     mse_hat_var: float
     mse_hat_se: float
 
-    def as_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class TestRow:
@@ -319,9 +320,6 @@ class TestRow:
     power_se_f2: float
     power_se_f3: float
 
-    def as_record(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class McSummary:
@@ -334,7 +332,7 @@ class McSummary:
     samples: dict | None = None
 
     def as_records(self) -> list[dict]:
-        return [row.as_record() for row in self.rows]
+        return [asdict(row) for row in self.rows]
 
 
 _ESTIMATION_METRICS = (
@@ -347,11 +345,9 @@ _ESTIMATION_METRICS = (
 )
 
 
-def _estimation_rep(
-    model: str, n: int, seed: Seed, d: int, rep: int
-) -> tuple[float, ...]:
-    rng = make_stream(seed, d, rep, 0)
-    draw = gen_spiked(SpikeScenario(model=model, d=d, n=n, seed=seed), rng)
+def _estimation_rep(scenario: SpikeScenario, rep: int) -> tuple[float, ...]:
+    rng = make_stream(scenario.seed, scenario.d, rep, 0)
+    draw = gen_spiked(scenario, rng)
     est = nr_estimate(draw.x).aligned_with(draw.h1)
     lam1 = draw.lambda1
     e_tilde = est.scores_tilde - draw.true_scores
@@ -361,28 +357,25 @@ def _estimation_rep(
         float(est.lambda_hat[0]) / lam1,
         float(est.h_tilde_1 @ draw.h1),
         float(est.h_hat_1 @ draw.h1),
-        float(e_tilde @ e_tilde) / n / lam1,
-        float(e_hat @ e_hat) / n / lam1,
+        float(e_tilde @ e_tilde) / scenario.n / lam1,
+        float(e_hat @ e_hat) / scenario.n / lam1,
     )
 
 
 def _test_rep(
-    n1: int, n2: int, alpha: float, seed: Seed, d: int, rep: int
+    alpha: float, scenario: TwoSampleScenario, rep: int
 ) -> tuple[float, ...]:
     """Null arm then alternative arm, each as the F1/F2/F3 statistics
     followed by their rejections."""
     out: list[float] = []
-    for arm in (0, 1):
-        rng = make_stream(seed, d, rep, arm)
-        scenario = TwoSampleScenario(
-            hypothesis="Ha" if arm else "H0", d=d, n1=n1, n2=n2, seed=seed
-        )
-        draw = gen_two_sample(scenario, rng)
+    arms = (scenario, replace(scenario, hypothesis="Ha"))
+    for arm, arm_scenario in enumerate(arms):
+        rng = make_stream(scenario.seed, scenario.d, rep, arm)
+        draw = gen_two_sample(arm_scenario, rng)
         est1 = nr_estimate(draw.x1)
         est2 = nr_estimate(draw.x2)
-        o1 = test_f1(
-            float(est1.lambda_tilde[0]), float(est2.lambda_tilde[0]), n1, n2, alpha
-        )
+        lt1, lt2 = float(est1.lambda_tilde[0]), float(est2.lambda_tilde[0])
+        o1 = test_f1(lt1, lt2, est1.n, est2.n, alpha)
         o2 = test_f2(est1, est2, alpha)
         o3 = test_f3(est1, est2, alpha)
         out += (o1.statistic, o2.statistic, o3.statistic)
@@ -390,25 +383,38 @@ def _test_rep(
     return tuple(out)
 
 
-def _map_reps(rep_fn, d_list: list[int], reps: int, workers: int) -> np.ndarray:
-    """rep_fn(d, rep) for every (d, rep), as an array of shape
-    (len(d_list), reps, k) in (d, rep) order. The jobs are submitted
-    largest d first, Graham's longest-processing-time-first rule, so no
-    pool worker is left alone with a chunk of the costliest ones."""
-    order = sorted(range(len(d_list)), key=lambda i: -d_list[i])
-    ds = [d_list[i] for i in order for _ in range(reps)]
-    rs = [rep for _ in order for rep in range(reps)]
+def _d_list(d_values) -> list[int]:
+    d_list = [_check_count("d_values", d) for d in d_values]
+    if not d_list:
+        raise ValueError("d_values must be nonempty")
+    return d_list
+
+
+def _run_study(
+    study, rep_fn, scenarios, reps, workers, keep_samples, summarize
+) -> McSummary:
+    """rep_fn(scenario, rep) for every scenario and rep < reps, as one
+    (reps, k) array per scenario, which summarize(scenario, by_rep) turns
+    into a row and its named per-replication samples, in the scenarios'
+    order. The jobs are submitted largest d first, Graham's
+    longest-processing-time-first rule, so no pool worker is left alone
+    with a chunk of the costliest ones."""
+    workers = _check_count("workers", workers, 1)
+    order = sorted(range(len(scenarios)), key=lambda i: -scenarios[i].d)
+    jobs = [scenarios[i] for i in order for _ in range(reps)]
     keep_freed_memory()
-    results = ordered_map(rep_fn, ds, rs, workers=workers)
-    values = np.array(results, dtype=np.float64).reshape(len(d_list), reps, -1)
-    return values[np.argsort(order)]
-
-
-def _mean_var_se(values: np.ndarray) -> tuple[float, float, float]:
-    reps = values.size
-    mean = float(np.mean(values))
-    var = float(np.var(values, ddof=1))
-    return mean, var, math.sqrt(var / reps)
+    results = ordered_map(rep_fn, jobs, list(range(reps)) * len(order), workers=workers)
+    values = np.array(results, dtype=np.float64).reshape(len(order), reps, -1)
+    rows = []
+    samples: dict = {}
+    for scenario, by_rep in zip(scenarios, values[np.argsort(order)]):
+        row, named = summarize(scenario, by_rep)
+        rows.append(row)
+        if keep_samples:
+            samples.update({(scenario.d, k): v.copy() for k, v in named.items()})
+    return McSummary(
+        study, scenarios[0].seed, tuple(rows), samples if keep_samples else None
+    )
 
 
 def run_estimation_mc(
@@ -429,34 +435,21 @@ def run_estimation_mc(
     for a fixed seed regardless of `workers`.
     """
     reps = _check_count("reps", reps, 2)
-    n = _check_count("n", n, 3)
-    workers = _check_count("workers", workers, 1)
-    d_list = [_check_count("d_values", d) for d in d_values]
-    if not d_list:
-        raise ValueError("d_values must be nonempty")
-    seed = _check_seed(seed)
-    for d in d_list:
-        SpikeScenario(model=model, d=d, n=n, seed=seed)  # validate early
-    values = _map_reps(
-        partial(_estimation_rep, model, n, seed), d_list, reps, workers
-    )
-    rows = []
-    samples: dict = {}
-    for d, by_rep in zip(d_list, values):
-        fields: dict = {"model": model, "d": d, "n": n, "reps": reps}
-        for j, name in enumerate(_ESTIMATION_METRICS):
-            mean, var, se = _mean_var_se(by_rep[:, j])
-            fields[f"{name}_mean"] = mean
+    n, seed = _check_count("n", n, 3), _check_seed(seed)
+    scenarios = [SpikeScenario(model, d, n, seed) for d in _d_list(d_values)]
+
+    def summarize(scenario, by_rep):
+        fields: dict = {"model": model, "d": scenario.d, "n": n, "reps": reps}
+        for name, values in zip(_ESTIMATION_METRICS, by_rep.T):
+            var = float(np.var(values, ddof=1))
+            fields[f"{name}_mean"] = float(np.mean(values))
             fields[f"{name}_var"] = var
-            fields[f"{name}_se"] = se
-            if keep_samples:
-                samples[(d, name)] = by_rep[:, j].copy()
-        rows.append(EstimationRow(**fields))
-    return McSummary(
-        study="estimation",
-        seed=seed,
-        rows=tuple(rows),
-        samples=samples if keep_samples else None,
+            fields[f"{name}_se"] = math.sqrt(var / reps)
+        return EstimationRow(**fields), dict(zip(_ESTIMATION_METRICS, by_rep.T))
+
+    return _run_study(
+        "estimation", _estimation_rep, scenarios, reps, workers, keep_samples,
+        summarize,
     )
 
 
@@ -481,47 +474,29 @@ def run_test_mc(
     n1, n2 = _check_count("n1", n1, 3), _check_count("n2", n2, 3)
     if reps % 2:
         raise ValueError(f"reps must be even and at least 2, got {reps}")
-    workers = _check_count("workers", workers, 1)
-    alpha = _check_test_alpha(alpha)
-    d_list = [_check_count("d_values", d) for d in d_values]
-    if not d_list:
-        raise ValueError("d_values must be nonempty")
-    seed = _check_seed(seed)
+    alpha, seed = _check_test_alpha(alpha), _check_seed(seed)
+    scenarios = [
+        TwoSampleScenario("H0", d, n1, n2, seed) for d in _d_list(d_values)
+    ]
     half = reps // 2
-    names = ("f1", "f2", "f3")
-    for d in d_list:
-        TwoSampleScenario(hypothesis="H0", d=d, n1=n1, n2=n2, seed=seed)
-    values = _map_reps(
-        partial(_test_rep, n1, n2, alpha, seed), d_list, half, workers
-    )
-    rows = []
-    samples: dict = {}
-    for d, by_rep in zip(d_list, values):
+
+    def summarize(scenario, by_rep):
         # axes: replication, arm (null, alternative), statistic/rejection, test
         arms = by_rep.reshape(half, 2, 2, 3)
-        fields: dict = {
-            "d": d,
-            "n1": n1,
-            "n2": n2,
-            "alpha": alpha,
-            "reps": reps,
-        }
-        for j, name in enumerate(names):
+        fields: dict = {"d": scenario.d, "n1": n1, "n2": n2, "alpha": alpha}
+        named = {}
+        for j, name in enumerate(("f1", "f2", "f3")):
             size = float(np.mean(arms[:, 0, 1, j]))
             power = float(np.mean(arms[:, 1, 1, j]))
             fields[f"size_{name}"] = size
             fields[f"power_{name}"] = power
             fields[f"size_se_{name}"] = math.sqrt(size * (1.0 - size) / half)
-            fields[f"power_se_{name}"] = math.sqrt(
-                power * (1.0 - power) / half
-            )
-            if keep_samples:
-                samples[(d, f"{name}_null")] = arms[:, 0, 0, j].copy()
-                samples[(d, f"{name}_alt")] = arms[:, 1, 0, j].copy()
-        rows.append(TestRow(**fields))
-    return McSummary(
-        study="tests",
-        seed=seed,
-        rows=tuple(rows),
-        samples=samples if keep_samples else None,
+            fields[f"power_se_{name}"] = math.sqrt(power * (1.0 - power) / half)
+            named[f"{name}_null"] = arms[:, 0, 0, j]
+            named[f"{name}_alt"] = arms[:, 1, 0, j]
+        return TestRow(reps=reps, **fields), named
+
+    return _run_study(
+        "tests", partial(_test_rep, alpha), scenarios, half, workers,
+        keep_samples, summarize,
     )

@@ -174,6 +174,12 @@ def test_ci_rejects_both_sources(capsys, spiked_csv):
     )
     assert code == 1
     assert err.startswith("error:")
+    # one summary number alone used to be ignored: the output showed the
+    # data's kappa
+    for flag, value in (("--lambda-tilde", "2717"), ("--kappa", "3"), ("--n", "20")):
+        code, out, err = _run(capsys, ["ci", "--input", spiked_csv, flag, value])
+        assert code == 1 and out == ""
+        assert err == "error: ci takes --input or summary numbers, not both\n"
 
 
 def test_ci_from_matrix(capsys, spiked_csv):
@@ -211,6 +217,22 @@ def test_test_command_modes(capsys, tmp_path):
         assert (record["nu1"], record["nu2"]) == (9, 11)
     assert "h_star" in record["components"]
     assert "gamma_star" in record["components"]
+
+
+@pytest.mark.parametrize("mode", ["f2", "f3"])
+def test_test_command_names_unequal_dimensions(capsys, tmp_path, mode):
+    # the direction tests need one dimension; this used to print numpy's
+    # raw matmul message
+    paths = []
+    for d in (50, 40):
+        paths.append(str(tmp_path / f"x{d}.csv"))
+        save_matrix(paths[-1], np.random.default_rng(d).normal(size=(d, 12)))
+    code, out, err = _run(
+        capsys, ["test", "--input1", paths[0], "--input2", paths[1], "--mode", mode]
+    )
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: direction vectors")
+    assert "(50,) and (40,)" in err
 
 
 def test_test_command_one_sided_only_for_f1(capsys, tmp_path):

@@ -376,6 +376,28 @@ def test_direction_h_orthogonal_raises():
         direction_h(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_direction_h_names_a_non_finite_vector(bad):
+    # a nan used to come back as the factor, which F2 read as "do not
+    # reject"; an inf raised the orthogonality error
+    good = np.array([1.0, 0.5, 0.25])
+    for h1, h2, name in (
+        (np.array([bad, 0.5, 0.25]), good, "h1"),
+        (good, np.array([1.0, bad, 0.25]), "h2"),
+    ):
+        with pytest.raises(ValueError, match=f"^direction vector {name} has") as info:
+            direction_h(h1, h2)
+        assert not isinstance(info.value, OrthogonalDirectionsError)
+
+
+def test_direction_h_needs_vectors_of_one_length():
+    # unequal lengths used to fail inside matmul with numpy's own message
+    with pytest.raises(ValueError, match=re.escape("got shapes (2,) and (3,)")):
+        direction_h(np.ones(2), np.ones(3))
+    with pytest.raises(ValueError, match=re.escape("got shapes (2, 2) and (2, 2)")):
+        direction_h(np.eye(2), np.eye(2))
+
+
 def _fake_estimate(lt1: float, kappa: float, h1: np.ndarray, n: int = 10):
     lambda_tilde = np.concatenate(([lt1], np.full(n - 3, 0.01)))
     lambda_hat = np.concatenate(([lt1 * 1.2], np.full(n - 2, 0.01)))

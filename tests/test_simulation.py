@@ -151,6 +151,10 @@ def test_gen_ar1_single_vector_shape():
         gen_ar1(5, 1.0, 1.0, rng)
     with pytest.raises(ValueError):
         gen_ar1(5, 0.3, 0.0, rng)
+    for scale in (math.nan, math.inf):
+        # nan used to give all-nan data, and inf [inf, nan, ...]
+        with pytest.raises(ValueError, match="^scale must be positive and finite"):
+            gen_ar1(5, 0.3, scale, rng)
 
 
 def test_gen_ar1_stationary_moments():
@@ -389,7 +393,7 @@ def test_simulation_counts_and_seeds_must_be_integers(monkeypatch):
     def no_replications(*args, **kwargs):
         raise AssertionError("a replication started before the checks")
 
-    monkeypatch.setattr(simulation, "_map_reps", no_replications)
+    monkeypatch.setattr(simulation, "ordered_map", no_replications)
     rng = make_stream(0, 1)
     calls = [
         ("n1", lambda: run_test_mc([8], n1=10.0, n2=12, reps=2)),
@@ -564,7 +568,7 @@ def test_large_d_monte_carlo_output_is_frozen(workers):
     )
 
 
-# minor page faults per replication, through a study's own map: each job
+# minor page faults per replication, through the studies' `_run_study`: each job
 # runs one warm-up replication, then 16 more, of the d = 8192 estimation
 # study or the d = 2048 two-sample study
 _FAULTS_PER_REP = """
@@ -574,19 +578,27 @@ from functools import partial
 from nrpca import simulation
 
 REPS = {
-    8192: partial(simulation._estimation_rep, "b", 10, 5),
-    2048: partial(simulation._test_rep, 10, 20, 0.05, 5),
+    simulation.SpikeScenario: simulation._estimation_rep,
+    simulation.TwoSampleScenario: partial(simulation._test_rep, 0.05),
 }
 
-def faults_per_rep(d, job):
-    REPS[d](d, 100 + job)
+def faults_per_rep(scenario, job):
+    run = REPS[type(scenario)]
+    run(scenario, 100 + job)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for rep in range(16):
-        REPS[d](d, rep)
+        run(scenario, rep)
     return ((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 16,)
 
-faults = simulation._map_reps(faults_per_rep, [8192, 2048], 2, int(sys.argv[1]))
-print(faults.max())
+scenarios = [
+    simulation.SpikeScenario("b", 8192, 10, 5),
+    simulation.TwoSampleScenario("H0", 2048, 10, 20, 5),
+]
+summary = simulation._run_study(
+    "faults", faults_per_rep, scenarios, 2, int(sys.argv[1]), False,
+    lambda scenario, by_rep: (float(by_rep.max()), {}),
+)
+print(max(summary.rows))
 """
 
 
