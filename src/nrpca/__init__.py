@@ -14,66 +14,28 @@ scipy.optimize (`optimal_ab`) on first call, so `import nrpca` and the
 non-simulating CLI commands start without scipy.
 `nrpca estimate` never loads it: the Jarque-Bera p-value of its scores
 is the chi-square(2) upper tail, which is exp(-x/2) in closed form.
+
+The public names are those in the `__all__` of `dataio`, `estimators`,
+`inference` and `linalg`, star-imported below (each import also binds
+its module), plus the three seed functions of `sampling`, whose
+samplers stay off the top level.
 """
 
-from .dataio import load_matrix, save_matrix, standardize_rows
-from .estimators import DegenerateSpectrumError, NrEstimate, nr_estimate
-from .inference import (
-    CiResult,
-    JarqueBera,
-    OrthogonalDirectionsError,
-    QuantilePair,
-    TestComponents,
-    TestOutcome,
-    asymptotic_power,
-    contribution_ci,
-    direction_h,
-    jarque_bera,
-    optimal_ab,
-    test_f1,
-    test_f2,
-    test_f3,
-)
-from .linalg import (
-    DataMatrix,
-    SymMatrix,
-    center_columns,
-    dual_covariance,
-    sym_eigen,
-)
+from .dataio import *
+from .estimators import *
+from .inference import *
+from .linalg import *
 from .sampling import derive_key, make_stream, splitmix64
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "load_matrix",
-    "save_matrix",
-    "standardize_rows",
-    "DegenerateSpectrumError",
-    "NrEstimate",
-    "nr_estimate",
-    "CiResult",
-    "JarqueBera",
-    "OrthogonalDirectionsError",
-    "QuantilePair",
-    "TestComponents",
-    "TestOutcome",
-    "asymptotic_power",
-    "contribution_ci",
-    "direction_h",
-    "jarque_bera",
-    "optimal_ab",
-    "test_f1",
-    "test_f2",
-    "test_f3",
-    "DataMatrix",
-    "SymMatrix",
-    "center_columns",
-    "dual_covariance",
-    "sym_eigen",
+    *dataio.__all__,
+    *estimators.__all__,
+    *inference.__all__,
+    *linalg.__all__,
     "derive_key",
     "make_stream",
     "splitmix64",
 ]
-

@@ -63,7 +63,7 @@ def _flat_items(record: dict, prefix: str = "") -> list[tuple[str, str]]:
 
 def _render(payload, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
     rows = payload["rows"] if isinstance(payload, dict) and "rows" in payload else None
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -132,6 +132,10 @@ def _cmd_ci(args: argparse.Namespace) -> None:
 
 
 def _cmd_test(args: argparse.Namespace) -> None:
+    # the library's never-reject limit has an infinite upper point, which
+    # neither JSON nor a CSV reader takes as a number
+    if args.alpha == 0.0:
+        raise ValueError(f"test alpha must lie in (0, 1/2), got {args.alpha}")
     if args.mode != "f1" and args.alternative != "two-sided":
         raise ValueError(
             f"mode {args.mode} supports only the two-sided alternative"

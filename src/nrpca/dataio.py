@@ -177,9 +177,10 @@ def _all_split_into(width: int, lines: list[str]) -> bool:
 
 def _first_ragged(width: int, lines: list[str]) -> tuple[int, int] | None:
     """(index, cell count) of the first line without `width` cells."""
-    odd = [k for k, line in enumerate(lines) if line.count(",") != width - 1]
-    # a quoted cell may hold a comma: split the odd lines with the
-    # tokenizer, all at once, and one by one only to name a ragged line
+    # a quoted cell may hold a comma: the tokenizer splits each line with
+    # a quote mark or an odd comma count, all at once, and one by one only
+    # to name a ragged line
+    odd = [k for k, ln in enumerate(lines) if '"' in ln or ln.count(",") != width - 1]
     if odd and not _all_split_into(width, [lines[k] for k in odd]):
         for k in odd:
             found = len(_cells(lines[k]))
@@ -266,14 +267,13 @@ def _parse_block(
 
 
 def _bad_cell(
-    name: str, path: str, lo: int, hi: int, lineno: int, skip: int, cols, width: int
+    name: str, path: str, lo: int, hi: int, lineno: int, skip: int, cols
 ) -> ValueError:
     """The error for the first line in bytes [lo, hi) of `path`, of the
-    non-blank ones after the first `skip`, that has not `width` cells or
-    a non-numeric or non-finite cell in columns `cols`, found by
-    re-parsing runs of lines, then one line, then one cell at a time
-    with `_parse`. `lineno` is the file line number of the first line.
-    A quoted comma can hide a missing cell from `_first_ragged`."""
+    non-blank ones after the first `skip`, that has a non-numeric or
+    non-finite cell in columns `cols`, found by re-parsing runs of
+    lines, then one line, then one cell at a time with `_parse`.
+    `lineno` is the file line number of the first line."""
     _, keep, lines, _ = _read_lines(path, lo, hi)
     for at in range(skip, len(lines), _LOCATE_ROWS):
         run = lines[at : at + _LOCATE_ROWS]
@@ -284,8 +284,6 @@ def _bad_cell(
             pass
         for line, k in zip(run, keep[at:]):
             cells = _cells(line)
-            if len(cells) != width:
-                return _fault(name, lineno + k, _ragged(width, len(cells)))
             for j in cols:
                 try:
                     value = _parse([line], [j])[0, 0]
@@ -349,7 +347,7 @@ def _load(name: str, handle, path: str) -> DataMatrix:
         if part is None or not np.isfinite(part).all():
             skip = int(head and not block)
             lo, hi = bounds[block : block + 2]
-            raise _bad_cell(name, path, lo, hi, linenos[block], skip, cols, width)
+            raise _bad_cell(name, path, lo, hi, linenos[block], skip, cols)
         pieces.append(part)
     return DataMatrix(np.concatenate(pieces))
 
@@ -377,11 +375,14 @@ def load_matrix(path: str) -> DataMatrix:
 
 
 def save_matrix(path: str, matrix: DataMatrix | np.ndarray) -> None:
-    """Write a matrix as plain numeric CSV with 17 significant digits."""
-    values = matrix.values if isinstance(matrix, DataMatrix) else np.asarray(matrix)
+    """Write a matrix as plain numeric CSV with 17 significant digits.
+
+    It is checked as a `DataMatrix` first (2-D, finite, at least 3
+    columns), so `load_matrix` reads every file written here back."""
+    matrix = matrix if isinstance(matrix, DataMatrix) else DataMatrix(matrix)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        for row in values:
+        for row in matrix.values:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
@@ -391,14 +392,15 @@ def standardize_rows(matrix: DataMatrix | np.ndarray) -> DataMatrix:
     Keeps row means untouched; after centering, the covariance diagonal
     is then all ones, so the dual covariance trace equals d. A row whose
     sample standard deviation is zero, or at most 1e-13 times the
-    absolute value of its mean, is rejected as constant. The floor is
-    relative only, so scaling the input by a power of two scales no
+    absolute value of its mean, is rejected as constant. Each row is
+    first scaled exactly by the power of two that puts its largest
+    magnitude in [1/2, 1), so no square in the variance overflows or
+    underflows, and scaling the input by any power of two scales no
     decision and leaves the output bits unchanged.
     """
-    values = matrix.values if isinstance(matrix, DataMatrix) else None
-    if values is None:
-        values = np.asarray(matrix, dtype=np.float64)
-        values = DataMatrix(values).values  # same validation path
+    matrix = matrix if isinstance(matrix, DataMatrix) else DataMatrix(matrix)
+    _, exponent = np.frexp(np.abs(matrix.values).max(axis=1, keepdims=True))
+    values = np.ldexp(matrix.values, -exponent)
     sd = np.std(values, axis=1, ddof=1)
     bad = np.nonzero(sd <= 1e-13 * np.abs(values.mean(axis=1)))[0]
     if bad.size:

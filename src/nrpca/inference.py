@@ -173,6 +173,10 @@ def optimal_ab(df: int, alpha: float) -> QuantilePair:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if alpha < 1e-6:
         raise ValueError(f"alpha={alpha} is below the solver bracket (1e-6)")
+    # from 1 - alpha = 4e-6 on, the upper point is NaN at the bracket's
+    # end for small df; on df 2 to 10^4 it is finite up to this bound
+    if alpha > 1.0 - 1e-5:
+        raise ValueError(f"alpha={alpha} is above the solver bracket (1 - 1e-5)")
 
     from scipy.optimize import brentq  # imported here to keep startup cheap
 
@@ -344,12 +348,29 @@ def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
     return 0.5 * inner + 0.5 / inner
 
 
-def _h_star(est1: NrEstimate, est2: NrEstimate) -> tuple[float, float, float]:
+def _direction_test(
+    est1: NrEstimate, est2: NrEstimate, alpha: float, tail: bool
+) -> TestOutcome:
+    """F2 = F1 * h_star, and with `tail` F3 = F2 * gamma_star: each
+    factor is oriented by which sample has the larger lambda_tilde_1."""
+    alpha = _check_test_alpha(alpha)
+    if tail:
+        k1 = _positive(est1.kappa_tilde, "kappa_tilde (sample 1)")
+        k2 = _positive(est2.kappa_tilde, "kappa_tilde (sample 2)")
     lt1 = _positive(est1.lambda_tilde[0], "lambda_tilde_1 (sample 1)")
     lt2 = _positive(est2.lambda_tilde[0], "lambda_tilde_1 (sample 2)")
     h = direction_h(est1.h_tilde_1, est2.h_tilde_1)
-    star = h if lt1 >= lt2 else 1.0 / h
-    return lt1 / lt2, h, star
+    first_larger = lt1 >= lt2
+    ratio = lt1 / lt2
+    h_star = h if first_larger else 1.0 / h
+    statistic = ratio * h_star
+    gamma = gamma_star = None
+    if tail:
+        gamma = max(k1 / k2, k2 / k1)
+        gamma_star = gamma if first_larger else 1.0 / gamma
+        statistic *= gamma_star
+    components = TestComponents(ratio, h, h_star, gamma, gamma_star)
+    return _outcome(statistic, est1.n - 1, est2.n - 1, alpha, components)
 
 
 def test_f2(
@@ -360,12 +381,7 @@ def test_f2(
     F2 = F1 * h_star where h_star is the direction factor oriented by
     which sample carries the larger corrected eigenvalue. Two-sided only.
     """
-    alpha = _check_test_alpha(alpha)
-    ratio, h, star = _h_star(est1, est2)
-    components = TestComponents(lambda_ratio=ratio, h_tilde=h, h_star=star)
-    return _outcome(
-        ratio * star, est1.n - 1, est2.n - 1, alpha, components
-    )
+    return _direction_test(est1, est2, alpha, tail=False)
 
 
 def test_f3(
@@ -377,24 +393,7 @@ def test_f3(
     gamma = max of the two kappa ratios, oriented like h_star.
     Two-sided only.
     """
-    alpha = _check_test_alpha(alpha)
-    k1 = _positive(est1.kappa_tilde, "kappa_tilde (sample 1)")
-    k2 = _positive(est2.kappa_tilde, "kappa_tilde (sample 2)")
-    ratio, h, h_star = _h_star(est1, est2)
-    gamma = max(k1 / k2, k2 / k1)
-    lt1 = float(est1.lambda_tilde[0])
-    lt2 = float(est2.lambda_tilde[0])
-    gamma_star = gamma if lt1 >= lt2 else 1.0 / gamma
-    components = TestComponents(
-        lambda_ratio=ratio,
-        h_tilde=h,
-        h_star=h_star,
-        gamma_tilde=gamma,
-        gamma_star=gamma_star,
-    )
-    return _outcome(
-        ratio * h_star * gamma_star, est1.n - 1, est2.n - 1, alpha, components
-    )
+    return _direction_test(est1, est2, alpha, tail=True)
 
 
 def asymptotic_power(
@@ -465,6 +464,8 @@ def jarque_bera(values: np.ndarray) -> JarqueBera:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError(f"values must be a vector, got shape {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     n = values.size
     if n < 8:
         raise ValueError(f"need at least 8 values, got {n}")

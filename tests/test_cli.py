@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nrpca import dataio, parallel
+from nrpca import cli, dataio, parallel
 from nrpca.cli import DEFAULT_SEED, build_parser, main
 from nrpca.dataio import load_matrix, save_matrix
 from nrpca.inference import contribution_ci
@@ -182,6 +182,14 @@ def test_ci_rejects_both_sources(capsys, spiked_csv):
         assert err == "error: ci takes --input or summary numbers, not both\n"
 
 
+def test_ci_names_an_alpha_above_the_solver_bracket(capsys):
+    # brentq used to stop on a NaN upper point with its own message
+    argv = ["ci", "--lambda-tilde", "2", "--kappa", "8", "--n", "10"]
+    code, out, err = _run(capsys, argv + ["--alpha", "0.999999"])
+    assert (code, out) == (1, "")
+    assert err == "error: alpha=0.999999 is above the solver bracket (1 - 1e-5)\n"
+
+
 def test_ci_from_matrix(capsys, spiked_csv):
     code, out, _ = _run(capsys, ["ci", "--input", spiked_csv])
     assert code == 0
@@ -233,6 +241,23 @@ def test_test_command_names_unequal_dimensions(capsys, tmp_path, mode):
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("error: direction vectors")
     assert "(50,) and (40,)" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_test_command_refuses_alpha_zero(capsys, spiked_csv, fmt):
+    # the library's never-reject limit has an infinite upper point, which
+    # was printed as `Infinity`, not JSON, or `inf`
+    argv = ["test", "--input", spiked_csv, "--input2", spiked_csv, "--alpha", "0"]
+    code, out, err = _run(capsys, argv + ["--format", fmt])
+    assert (code, out) == (1, "")
+    assert err == "error: test alpha must lie in (0, 1/2), got 0.0\n"
+
+
+def test_json_output_has_no_nan_or_infinity():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._render({"upper_crit": float("inf")}, "json")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._render({"rows": [{"x": float("nan")}]}, "json")
 
 
 def test_test_command_one_sided_only_for_f1(capsys, tmp_path):

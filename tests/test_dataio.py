@@ -54,6 +54,24 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.values, values)
 
 
+@pytest.mark.parametrize(
+    "values,message",
+    [
+        ([[1.0, np.nan, 3.0]], "finite"),
+        ([[1.0, 2.0, np.inf]], "finite"),
+        ([1.0, 2.0, 3.0], "2-dimensional"),
+        ([[1.0, 2.0], [3.0, 4.0]], "at least 3 samples"),
+    ],
+)
+def test_save_matrix_writes_only_what_load_matrix_reads(tmp_path, values, message):
+    # a nan cell used to be written and then refused by `load_matrix`, and
+    # a vector failed inside the writer with numpy's own message
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match=message):
+        save_matrix(str(path), np.array(values))
+    assert not path.exists()
+
+
 def test_load_matrix_detects_header_and_labels(tmp_path):
     path = tmp_path / "labeled.csv"
     path.write_text(
@@ -92,6 +110,15 @@ def test_load_matrix_ragged_reports_line(tmp_path, monkeypatch):
         path.write_text(above + row + "\ng3,6,7,8\n")
         message = f"line 6: expected 4 columns, found {found}"
         _raises_at_each_block_size(monkeypatch, path, message)
+    # a quoted comma hides the missing cell from a comma count: the line
+    # is still named before a bad cell above it, a ragged line below it,
+    # and the count of data columns
+    message = "line 6: expected 4 columns, found 3"
+    for first, last in (("g1,1,x,3", "g3,6,7,8"), ("g1,1,2,3", "g3,6,7")):
+        path.write_text(f'gene,s1,s2,s3\n\n  \n{first}\n,,,\ng2,"4,5",6\n{last}\n')
+        _raises_at_each_block_size(monkeypatch, path, message)
+    path.write_text('gene,s1,s2\ng1,1,2\ng2,"1,2"\n')
+    _raises_at_each_block_size(monkeypatch, path, "line 3: expected 3 columns, found 2")
     # in a late block, and reported before a bad cell in an earlier one
     lines = [f"{k},{k + 1},{k + 2}" for k in range(3000)]
     lines[2500] = "7,8"
@@ -571,10 +598,13 @@ def test_standardize_rows_is_scale_free():
     x = np.random.default_rng(1).normal(size=(500, 10))
     x[0] *= 30.0
     want = standardize_rows(x).values.tobytes()
-    for k in range(-60, 61):
+    # each row is brought to one binary exponent first, so the squares in
+    # the variance stay in range: at 2^520 they overflowed to zero rows,
+    # and at 2^-540 underflowed to a zero variance
+    for k in range(-1000, 1001):
         assert standardize_rows(x * 2.0**k).values.tobytes() == want, k
     # a zero row and a constant row are constant at any scale
-    for k in (-60, 0, 60):
+    for k in (-1000, -60, 0, 60, 1000):
         for row in (0.0, 3.0):
             y = x * 2.0**k
             y[7] = row * 2.0**k

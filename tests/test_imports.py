@@ -55,6 +55,24 @@ def test_estimate_runs_without_scipy(tmp_path):
     assert 0.0 < json.loads(out.read_text())["jb_p_value"] <= 1.0
 
 
+# the package surface: `nrpca.__all__` is built from the modules' own
+# `__all__` lists, so a name added to or dropped from one shows up here
+PUBLIC_NAMES = [
+    "CiResult", "DataMatrix", "DegenerateSpectrumError", "JarqueBera",
+    "NrEstimate", "OrthogonalDirectionsError", "QuantilePair", "SymMatrix",
+    "TestComponents", "TestOutcome", "__version__", "asymptotic_power",
+    "center_columns", "contribution_ci", "derive_key", "direction_h",
+    "dual_covariance", "jarque_bera", "load_matrix", "make_stream",
+    "nr_estimate", "optimal_ab", "save_matrix", "splitmix64",
+    "standardize_rows", "sym_eigen", "test_f1", "test_f2", "test_f3",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(nrpca.__all__) == PUBLIC_NAMES
+    assert len(nrpca.__all__) == len(set(nrpca.__all__))
+
+
 def test_every_public_name_resolves():
     out = _run(
         "import nrpca\n"

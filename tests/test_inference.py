@@ -115,6 +115,11 @@ def test_optimal_ab_rejects_bad_inputs():
         optimal_ab(19, 1e-9)
     with pytest.raises(ValueError, match="alpha"):
         optimal_ab(19, math.nan)
+    # from 1 - alpha = 4e-6 on, brentq met a NaN upper point at df = 8
+    for df in (2, 8, 1000):
+        with pytest.raises(ValueError, match="above the solver bracket"):
+            optimal_ab(df, 0.999999)
+    assert optimal_ab(2, 1.0 - 1e-5).a > 0.0
 
 
 def test_quantile_pair_requires_order():
@@ -454,6 +459,22 @@ def test_f3_adds_tail_factor():
         f3_test(dead_tail, small)
 
 
+def test_direction_factors_orient_to_the_first_sample_on_a_tie():
+    # equal corrected eigenvalues: h_star and gamma_star keep their
+    # sample-1 orientation, h and gamma themselves
+    e1 = np.array([1.0, 0.0, 0.0])
+    tilted = np.array([1.0 / 3.0, math.sqrt(8.0) / 3.0, 0.0])
+    first = _fake_estimate(4.0, 6.0, e1, n=10)
+    second = _fake_estimate(4.0, 2.0, tilted, n=20)
+    out = f3_test(first, second)
+    parts = out.components
+    assert parts.lambda_ratio == 1.0
+    assert parts.h_star == parts.h_tilde == pytest.approx(5.0 / 3.0, rel=1e-12)
+    assert parts.gamma_star == parts.gamma_tilde == pytest.approx(3.0)
+    assert out.statistic == parts.h_star * parts.gamma_star
+    assert f2_test(first, second).components.h_star == parts.h_tilde
+
+
 def test_f2_identical_samples_do_not_reject():
     e1 = np.array([1.0, 0.0, 0.0])
     est = _fake_estimate(4.0, 6.0, e1, n=10)
@@ -610,6 +631,12 @@ def test_jarque_bera_rejects_bad_inputs():
         jarque_bera(np.full(10, 2.5))
     with pytest.raises(ValueError):
         jarque_bera(np.zeros((3, 4)))
+    # a non-finite value used to give a nan statistic and p-value
+    for bad in (np.nan, np.inf, -np.inf):
+        values = np.linspace(-1.0, 1.0, 10)
+        values[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            jarque_bera(values)
 
 
 def test_jarque_bera_size_under_normality():
