@@ -132,10 +132,6 @@ def _cmd_ci(args: argparse.Namespace) -> None:
 
 
 def _cmd_test(args: argparse.Namespace) -> None:
-    # the library's never-reject limit has an infinite upper point, which
-    # neither JSON nor a CSV reader takes as a number
-    if args.alpha == 0.0:
-        raise ValueError(f"test alpha must lie in (0, 1/2), got {args.alpha}")
     if args.mode != "f1" and args.alternative != "two-sided":
         raise ValueError(
             f"mode {args.mode} supports only the two-sided alternative"

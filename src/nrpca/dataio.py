@@ -11,19 +11,21 @@ an optional decimal point and exponent, with surrounding whitespace
 allowed. `inf` and `nan` parse but are rejected as non-finite. Python's
 `float()` extras (underscores between digits, non-ASCII digits) are not
 numbers. numpy's C tokenizer, with the settings in `_SPLIT`, and its
-float parser decide blank lines, row widths, the header and label
-layout, the values and the error positions alike, so these never
-disagree. A quoted cell cannot span lines: a line that ends inside one
-is an error naming that line, so it never runs on into the next. A
-blank line is dropped before parsing, whatever quote marks it holds.
+float parser decide blank lines, row widths, open quotes, the header
+and label layout, the values and the error positions alike, so these
+never disagree. A quoted cell cannot span lines: a line that ends
+inside one is an error naming that line, so it never runs on into the
+next. A blank line is dropped before parsing, whatever quote marks it
+holds.
 
 The file is parsed in blocks of `_BLOCK_BYTES`, each cut just after a
 line feed, so no line spans two blocks. A file of more than one block
-is parsed by up to one process per CPU in the affinity mask, and the
-blocks are joined in file order. The result and every error message
-depend on neither that count nor the block size; there is no option
-for either. A file with CR-only line endings has no line feed to cut
-at, so it is one block and parses serially. A pipe is copied to a
+is parsed by `parallel.ordered_map`, which is asked for one process
+per block and caps that at one per usable core, and the blocks are
+joined in file order. The result and every error message depend on
+neither that count nor the block size; there is no option for either.
+A file with CR-only line endings has no line feed to cut at, so it is
+one block and parses serially. A pipe is copied to a
 temporary file first. Each block parses its non-blank lines alike,
 leaving out the file's first one, and reports its line count, its first
 ragged line and whether its column 0 holds text, without raising; the
@@ -47,7 +49,6 @@ import csv
 import io
 import math
 import os
-import re
 import string
 from functools import partial
 from itertools import accumulate
@@ -68,16 +69,6 @@ _FILLER = string.whitespace + ',"'
 _BLOCK_BYTES = 4 << 20
 # rows re-parsed at once while looking for the first bad row
 _LOCATE_ROWS = 1024
-# a quoted cell not yet closed, as `_SPLIT` tokenizes it: a quote opens a
-# cell only as its first character, and a doubled quote inside one is a
-# quote mark
-_QUOTED = r'"[^"]*(?:""[^"]*)*'
-# a line's cells up to its last comma, then, as group 1, its last cell if
-# that is quoted and still open at the end of the line. A quote not
-# followed by another closes a cell, which then runs on as plain text to
-# the next comma. Each cell matches one way only and group 1 is optional,
-# so the match never backtracks across cells.
-_OPEN_QUOTE = re.compile(rf'(?:(?:{_QUOTED}"(?!")|(?!"))[^,]*,)*({_QUOTED}\Z)?')
 
 
 def _parse(lines: list[str], cols) -> np.ndarray:
@@ -113,7 +104,9 @@ def _ends_in_quote(line: str) -> bool:
     at = bare.rfind('"')
     if at != 0 and (at < 0 or bare[at - 1] != ","):
         return False
-    return _OPEN_QUOTE.match(line)[1] is not None
+    # the tokenizer reads a line feed inside an open quoted cell as text
+    text = line.rstrip("\n") + "\n"
+    return np.loadtxt([text], dtype=object, ndmin=1, **_SPLIT)[-1].endswith("\n")
 
 
 def _decode(raw: bytes) -> list[str]:
@@ -311,13 +304,12 @@ def _load(name: str, handle, path: str) -> DataMatrix:
     size = handle.seek(0, os.SEEK_END)
     bounds = _block_bounds(handle, first_end, size)
     width = len(_cells(first))
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     parts = ordered_map(
         partial(_parse_block, path, width),
         bounds[:-1],
         bounds[1:],
         [True] + [False] * (len(bounds) - 2),
-        workers=cpus,
+        workers=len(bounds) - 1,
     )
     linenos = list(accumulate((count for count, *_ in parts), initial=1))
     for lineno, (_, fault, _, _) in zip(linenos, parts):

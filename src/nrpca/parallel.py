@@ -1,5 +1,6 @@
 """The one ordered map over a process pool, shared by the CSV loader and
-the Monte Carlo harness, and the heap policy of a Monte Carlo study.
+the Monte Carlo harness and the only place that sizes the pool, and the
+heap policy of a Monte Carlo study.
 
 Heap policy. A replication at d = 8192 frees arrays of 0.3-0.9 MB (polar
 uniforms and temporaries, the sample, its centered copy). glibc's dynamic
@@ -20,6 +21,7 @@ the same with it and without it.
 from __future__ import annotations
 
 import functools
+import os
 
 __all__ = ["keep_freed_memory", "ordered_map"]
 
@@ -54,9 +56,12 @@ def keep_freed_memory() -> None:
 
 def ordered_map(fn, *jobs: list, workers: int) -> list:
     """`list(map(fn, *jobs))` in up to `workers` forked processes, at
-    most one per job. A daemonic process, such as a multiprocessing.Pool
-    worker, may not start processes of its own: it maps serially."""
-    workers = min(workers, len(jobs[0]))
+    most one per job and one per core in the affinity mask, or one in
+    all where the platform has no `os.sched_getaffinity`. A daemonic
+    process, such as a multiprocessing.Pool worker, may not start
+    processes of its own: it maps serially."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(workers, cores, len(jobs[0]))
     if workers > 1:
         import multiprocessing
 

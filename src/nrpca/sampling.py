@@ -40,12 +40,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _PAIRS_PER_NORMAL = 0.66
 
 
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+def _check_seed(seed: int, name: str = "seed") -> int:
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
+        raise TypeError(f"{name} must be an integer, got {type(seed).__name__}")
     seed = int(seed)
     if not 0 <= seed <= _MASK64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise ValueError(f"{name} must be a 64-bit unsigned integer, got {seed}")
     return seed
 
 
@@ -61,13 +61,13 @@ def derive_key(seed: Seed, *path: int) -> int:
     """Mix a seed and an integer path into one 64-bit substream key.
 
     Identical (seed, path) always gives the identical key; distinct paths
-    give keys that collide only with probability ~2^-64.
+    give keys that collide only with probability ~2^-64. The seed and
+    each path part must be a 64-bit unsigned integer, so no two parts
+    alias one another.
     """
     key = splitmix64(_check_seed(seed))
-    for part in path:
-        if not isinstance(part, (int, np.integer)):
-            raise TypeError(f"path parts must be integers, got {type(part).__name__}")
-        key = splitmix64(key ^ splitmix64(int(part) & _MASK64))
+    for k, part in enumerate(path):
+        key = splitmix64(key ^ splitmix64(_check_seed(part, f"path part {k}")))
     return key
 
 

@@ -14,9 +14,10 @@ Both studies run through one loop, `_run_study`. A study checks its
 arguments by building one frozen scenario per d, and those scenarios
 are the jobs: `_run_study` maps every (scenario, replication) pair
 through `parallel.ordered_map`, the pool the CSV loader uses too: at
-most one forked process per job, and a serial map in a daemonic
-process, which may not start processes. First it applies
-`parallel.keep_freed_memory` to the calling process, whose forked
+most `workers` forked processes, one per usable core and one per job,
+so a count above the core count runs at the core count; and a serial
+map in a daemonic process, which may not start processes. First it
+applies `parallel.keep_freed_memory` to the calling process, whose forked
 workers inherit it: replications reuse freed memory instead of faulting
 it in again. The setting outlives the call and never changes a value.
 Jobs are submitted largest d first, so the pool's last chunks are the

@@ -190,6 +190,16 @@ def test_ci_names_an_alpha_above_the_solver_bracket(capsys):
     assert err == "error: alpha=0.999999 is above the solver bracket (1 - 1e-5)\n"
 
 
+def test_ci_where_the_solver_takes_over_100_steps(capsys):
+    # brentq's default cap of 100 iterations stopped this solve
+    argv = ["ci", "--lambda-tilde", "2", "--kappa", "8", "--n", "136"]
+    code, out, err = _run(capsys, argv + ["--alpha", "0.999"])
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    ci = contribution_ci(2.0, 8.0, 136, 0.999)
+    assert (record["lower"], record["upper"]) == (ci.lower, ci.upper)
+
+
 def test_ci_from_matrix(capsys, spiked_csv):
     code, out, _ = _run(capsys, ["ci", "--input", spiked_csv])
     assert code == 0

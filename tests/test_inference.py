@@ -122,6 +122,20 @@ def test_optimal_ab_rejects_bad_inputs():
     assert optimal_ab(2, 1.0 - 1e-5).a > 0.0
 
 
+def test_optimal_ab_converges_where_brent_takes_over_100_steps():
+    # brentq's default cap of 100 iterations stopped these two solves
+    from scipy import special
+
+    for df, alpha in ((135, 0.999), (128, 0.999988)):
+        pair = optimal_ab(df, alpha)
+        tails = special.chdtr(df, pair.a) + special.chdtrc(df, pair.b)
+        assert tails == pytest.approx(alpha, rel=1e-9)
+        # a and b straddle the mode of t^2 g(t) closely, where that form
+        # of the condition is flat: check the log form instead
+        lhs = (0.5 * df + 1.0) * math.log(pair.b / pair.a)
+        assert lhs == pytest.approx(0.5 * (pair.b - pair.a), rel=1e-9)
+
+
 def test_quantile_pair_requires_order():
     with pytest.raises(ValueError):
         QuantilePair(a=2.0, b=2.0)
@@ -274,7 +288,7 @@ def test_f1_statistic_and_symmetry():
 
 
 def test_f1_never_rejects_equal_eigenvalues():
-    for alpha in (0.05, 0.01, 0.2, 0.0):
+    for alpha in (0.05, 0.01, 0.2):
         out = f1_test(3.7, 3.7, 10, 20, alpha=alpha)
         assert out.statistic == 1.0
         assert not out.reject_null
@@ -308,11 +322,21 @@ def test_f1_less_alternative_matches_cdf():
         f1_test(1.0, 1.0, 10, 20, alternative="greater")
 
 
-def test_f1_alpha_zero_never_rejects():
-    out = f1_test(1e6, 1.0, 10, 20, alpha=0.0)
-    assert not out.reject_null
-    out = f1_test(1e-6, 1.0, 10, 20, alpha=0.0, alternative="less")
-    assert not out.reject_null
+def test_every_test_refuses_alpha_zero():
+    # (0, 1/2) is the one test-alpha range: alpha = 0 has an infinite
+    # upper point and never rejects, so no test takes it
+    e1 = np.array([1.0, 0.0, 0.0])
+    est = _fake_estimate(4.0, 6.0, e1)
+    message = r"^test alpha must lie in \(0, 1/2\), got 0\.0$"
+    for run in (
+        lambda: f1_test(1e6, 1.0, 10, 20, alpha=0.0),
+        lambda: f1_test(1e-6, 1.0, 10, 20, alpha=0.0, alternative="less"),
+        lambda: f2_test(est, est, alpha=0.0),
+        lambda: f3_test(est, est, alpha=0.0),
+        lambda: asymptotic_power(9, 19, 1.5, alpha=0.0),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_f1_rejects_bad_inputs():

@@ -49,6 +49,27 @@ def test_derive_key_is_path_sensitive():
     assert derive_key(7, 2048, 13, 1) == derive_key(7, 2048, 13, 1)
 
 
+def test_derive_key_takes_only_64_bit_unsigned_parts():
+    # -1 and 2^64 used to alias 2^64 - 1 and 0, and True aliased 1
+    for path, error, name in (
+        ((-1,), ValueError, "path part 0"),
+        ((2**64,), ValueError, "path part 0"),
+        ((5, -1), ValueError, "path part 1"),
+        ((True,), TypeError, "path part 0"),
+        ((np.int64(3), False), TypeError, "path part 1"),
+    ):
+        with pytest.raises(error, match=f"^{name} must be"):
+            derive_key(1, *path)
+    for seed in (True, False):
+        with pytest.raises(TypeError, match="^seed must be an integer, got bool"):
+            derive_key(seed)
+    # the ends of the range keep their keys
+    top = 2**64 - 1
+    assert derive_key(1, top) == splitmix64(splitmix64(1) ^ splitmix64(top))
+    assert derive_key(1, np.uint64(top), 0) == derive_key(1, top, 0)
+    assert derive_key(top, 0) == splitmix64(splitmix64(top) ^ splitmix64(0))
+
+
 def test_make_stream_reproducible():
     a = sample_std_normal(make_stream(42, 5, 0), 1000)
     b = sample_std_normal(make_stream(42, 5, 0), 1000)

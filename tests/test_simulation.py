@@ -269,7 +269,7 @@ def test_run_estimation_mc_worker_count_invariant():
 
 
 def test_process_pool_capped_at_job_count(monkeypatch):
-    # 3 jobs per study at 8 workers: the pool gets 3 processes, not 8
+    # 3 jobs per study at 8 workers on 8 cores: the pool gets 3 processes
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -278,6 +278,7 @@ def test_process_pool_capped_at_job_count(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     pooled = run_estimation_mc(
         "b", [8], n=10, reps=3, seed=2, workers=8, keep_samples=True
     )
@@ -293,6 +294,17 @@ def test_process_pool_capped_at_job_count(monkeypatch):
     )
     _assert_same_summary(serial, pooled)
     assert sizes == [3, 3]
+    # and at one process per core: 1000 workers on 2 cores get 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    sizes.clear()
+    pooled = run_estimation_mc(
+        "b", [8], n=10, reps=3, seed=2, workers=1000, keep_samples=True
+    )
+    serial = run_estimation_mc(
+        "b", [8], n=10, reps=3, seed=2, workers=1, keep_samples=True
+    )
+    _assert_same_summary(serial, pooled)
+    assert sizes == [2]
 
 
 def _three_block_csv(tmp_path):
@@ -441,11 +453,11 @@ def test_numpy_integer_counts_give_the_same_rows():
     assert json.dumps(typed.as_records()) == json.dumps(plain.as_records())
 
 
-def test_run_test_mc_alpha_zero_never_rejects():
-    out = run_test_mc([8], n1=5, n2=6, reps=4, alpha=0.0, seed=3)
-    row = out.rows[0]
-    assert row.size_f1 == row.size_f2 == row.size_f3 == 0.0
-    assert row.power_f1 == row.power_f2 == row.power_f3 == 0.0
+def test_run_test_mc_refuses_alpha_zero(monkeypatch):
+    # refused before any replication starts
+    monkeypatch.setattr(simulation, "ordered_map", None)
+    with pytest.raises(ValueError, match=r"^test alpha must lie in \(0, 1/2\)"):
+        run_test_mc([8], n1=5, n2=6, reps=4, alpha=0.0, seed=3)
 
 
 def test_run_test_mc_requires_even_reps():
