@@ -7,8 +7,9 @@ Monte Carlo harness), and `power` (asymptotic powers). Matrices are
 rows-as-variables; `--transpose` covers the other orientation and
 `--standardize` rescales each variable to unit sample variance first.
 
-Output goes to stdout (or `--out`) as JSON, except `simulate`, which
-defaults to one CSV row per dimension. All randomness flows from
+Each handler checks its arguments before it reads a file and returns one
+record; `main` renders it as JSON (CSV for `simulate`: one row per
+dimension) and writes it to stdout or `--out`. All randomness flows from
 `--seed` (default 1729). `simulate --workers` (default 1) changes wall
 time but never results; the library checks its value.
 """
@@ -23,8 +24,10 @@ import sys
 from dataclasses import asdict
 
 from .dataio import load_matrix, standardize_rows
-from .estimators import NrEstimate, nr_estimate
+from .estimators import nr_estimate
 from .inference import (
+    _check_ci_alpha,
+    _check_test_alpha,
     asymptotic_power,
     contribution_ci,
     jarque_bera,
@@ -61,33 +64,20 @@ def _flat_items(record: dict, prefix: str = "") -> list[tuple[str, str]]:
     return items
 
 
-def _render(payload, fmt: str) -> str:
+def _render(record: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    rows = payload["rows"] if isinstance(payload, dict) and "rows" in payload else None
+        return json.dumps(record, indent=2, allow_nan=False) + "\n"
+    # a table's rows, or one record as a one-row table
+    rows = [dict(_flat_items(row)) for row in record.get("rows", [record])]
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    if rows is not None:
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow([str(v) for v in row.values()])
-    else:
-        flat = _flat_items(payload)
-        writer.writerow([k for k, _ in flat])
-        writer.writerow([v for _, v in flat])
+    writer = csv.DictWriter(buffer, rows[0], lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buffer.getvalue()
 
 
-def _emit(payload, args: argparse.Namespace) -> None:
-    text = _render(payload, args.fmt)
-    if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _estimate_record(est: NrEstimate) -> dict:
+def _cmd_estimate(args: argparse.Namespace) -> dict:
+    est = nr_estimate(_prepared_matrix(args.input, args))
     jb = jarque_bera(est.scores_tilde) if est.n >= 8 else None
     return {
         "d": est.d,
@@ -105,12 +95,7 @@ def _estimate_record(est: NrEstimate) -> dict:
     }
 
 
-def _cmd_estimate(args: argparse.Namespace) -> None:
-    est = nr_estimate(_prepared_matrix(args.input, args))
-    _emit(_estimate_record(est), args)
-
-
-def _cmd_ci(args: argparse.Namespace) -> None:
+def _cmd_ci(args: argparse.Namespace) -> dict:
     summary = (args.lambda_tilde, args.kappa, args.n_override)
     if args.input is None:
         if None in summary:
@@ -121,21 +106,21 @@ def _cmd_ci(args: argparse.Namespace) -> None:
     elif summary != (None, None, None):
         raise ValueError("ci takes --input or summary numbers, not both")
     else:
+        _check_ci_alpha(args.alpha)
         est = nr_estimate(_prepared_matrix(args.input, args))
         lt1 = float(est.lambda_tilde[0])
         kappa = est.kappa_tilde
         n = est.n
     result = contribution_ci(lt1, kappa, n, args.alpha)
-    record = {"lambda_tilde_1": lt1, "kappa_tilde": kappa, "n": n}
-    record.update(asdict(result))
-    _emit(record, args)
+    return {"lambda_tilde_1": lt1, "kappa_tilde": kappa, "n": n, **asdict(result)}
 
 
-def _cmd_test(args: argparse.Namespace) -> None:
+def _cmd_test(args: argparse.Namespace) -> dict:
     if args.mode != "f1" and args.alternative != "two-sided":
         raise ValueError(
             f"mode {args.mode} supports only the two-sided alternative"
         )
+    _check_test_alpha(args.alpha)
     est1 = nr_estimate(_prepared_matrix(args.input, args))
     est2 = nr_estimate(_prepared_matrix(args.input2, args))
     if args.mode == "f1":
@@ -151,46 +136,30 @@ def _cmd_test(args: argparse.Namespace) -> None:
         outcome = test_f2(est1, est2, args.alpha)
     else:
         outcome = test_f3(est1, est2, args.alpha)
-    record = {"mode": args.mode}
-    record.update(asdict(outcome))
+    record = {"mode": args.mode, **asdict(outcome)}
     record["components"] = {
         k: v for k, v in record["components"].items() if v is not None
     }
-    _emit(record, args)
+    return record
 
 
-def _cmd_simulate(args: argparse.Namespace) -> None:
+def _cmd_simulate(args: argparse.Namespace) -> dict:
     from .simulation import run_estimation_mc, run_test_mc  # loads scipy.signal
 
-    reps = {} if args.reps is None else {"reps": args.reps}
+    # the library keeps the default replication counts
+    common = {"seed": args.seed, "workers": args.workers}
+    if args.reps is not None:
+        common["reps"] = args.reps
     if args.study == "pc":
-        summary = run_estimation_mc(
-            args.model,
-            args.d_values,
-            n=args.n,
-            seed=args.seed,
-            workers=args.workers,
-            **reps,
-        )
+        summary = run_estimation_mc(args.model, args.d_values, n=args.n, **common)
     else:
         summary = run_test_mc(
-            args.d_values,
-            n1=args.n1,
-            n2=args.n2,
-            alpha=args.alpha,
-            seed=args.seed,
-            workers=args.workers,
-            **reps,
+            args.d_values, n1=args.n1, n2=args.n2, alpha=args.alpha, **common
         )
-    payload = {
-        "study": summary.study,
-        "seed": summary.seed,
-        "rows": summary.as_records(),
-    }
-    _emit(payload, args)
+    return {"study": summary.study, "seed": summary.seed, "rows": summary.as_records()}
 
 
-def _cmd_power(args: argparse.Namespace) -> None:
+def _cmd_power(args: argparse.Namespace) -> dict:
     record = {
         "nu1": args.nu1,
         "nu2": args.nu2,
@@ -203,7 +172,7 @@ def _cmd_power(args: argparse.Namespace) -> None:
         record[which] = asymptotic_power(
             args.nu1, args.nu2, args.ratio, args.h, args.gamma, args.alpha, which
         )
-    _emit(record, args)
+    return record
 
 
 def _add_output_flags(parser: argparse.ArgumentParser, default_fmt: str) -> None:
@@ -312,7 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.handler(args)
+        text = _render(args.handler(args), args.fmt)
+        if args.out:
+            with open(args.out, "w") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

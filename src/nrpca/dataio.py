@@ -110,11 +110,11 @@ def _ends_in_quote(line: str) -> bool:
 
 
 def _decode(raw: bytes) -> list[str]:
-    return io.TextIOWrapper(io.BytesIO(raw)).readlines()
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8").readlines()
 
 
 def _text_lines(raw: bytes, lo: int) -> tuple[list[str], str | None]:
-    """The lines of `raw`, read from offset `lo` of a file, decoded and
+    """The lines of `raw`, read from offset `lo` of a file, decoded as UTF-8 and
     with newlines translated as `open(path)` does it, and None. Where a
     line is not UTF-8 or holds a cell and ends inside a quoted one, only
     the lines before the first such line, and the error text for it. A

@@ -158,6 +158,19 @@ def f_upper_point(d1: float, d2: float, alpha: float) -> float:
     return 1.0 / float(_sc().fdtri(d2, d1, alpha))
 
 
+def _check_ci_alpha(alpha: float) -> float:
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if alpha < 1e-6:
+        raise ValueError(f"alpha={alpha} is below the solver bracket (1e-6)")
+    # from 1 - alpha = 4e-6 on, the upper point is NaN at the bracket's
+    # end for small df; on df 2 to 10^4 it is finite up to this bound
+    if alpha > 1.0 - 1e-5:
+        raise ValueError(f"alpha={alpha} is above the solver bracket (1 - 1e-5)")
+    return alpha
+
+
 def optimal_ab(df: int, alpha: float) -> QuantilePair:
     """Minimum-length chi-square quantile pair at coverage 1 - alpha.
 
@@ -168,15 +181,7 @@ def optimal_ab(df: int, alpha: float) -> QuantilePair:
     Brent's method. The result is deterministic for fixed (df, alpha).
     """
     df = _check_count("df", df, 2)
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if alpha < 1e-6:
-        raise ValueError(f"alpha={alpha} is below the solver bracket (1e-6)")
-    # from 1 - alpha = 4e-6 on, the upper point is NaN at the bracket's
-    # end for small df; on df 2 to 10^4 it is finite up to this bound
-    if alpha > 1.0 - 1e-5:
-        raise ValueError(f"alpha={alpha} is above the solver bracket (1 - 1e-5)")
+    alpha = _check_ci_alpha(alpha)
 
     from scipy.optimize import brentq  # imported here to keep startup cheap
 

@@ -263,6 +263,22 @@ def test_test_command_refuses_alpha_zero(capsys, spiked_csv, fmt):
     assert err == "error: test alpha must lie in (0, 1/2), got 0.0\n"
 
 
+def test_test_command_checks_alpha_before_reading_a_file(capsys, spiked_csv):
+    # an out-of-range alpha used to cost a full parse of both files; here
+    # the second is missing, and alpha is named, not the file
+    argv = ["test", "--input", spiked_csv, "--input2", "/no/such.csv"]
+    code, out, err = _run(capsys, argv + ["--alpha", "0"])
+    assert (code, out) == (1, "")
+    assert err == "error: test alpha must lie in (0, 1/2), got 0.0\n"
+
+
+def test_ci_checks_alpha_before_reading_a_file(capsys):
+    argv = ["ci", "--input", "/no/such.csv", "--alpha", "2"]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: alpha must lie in (0, 1), got 2.0\n"
+
+
 def test_json_output_has_no_nan_or_infinity():
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._render({"upper_crit": float("inf")}, "json")
@@ -306,29 +322,39 @@ def _flat_json(record, prefix=""):
             yield name, "" if value is None else str(value)
 
 
-@pytest.mark.parametrize("command", ["estimate", "ci", "test", "power"])
+@pytest.mark.parametrize(
+    "command", ["estimate", "ci", "test", "power", "simulate pc", "simulate tests"]
+)
 def test_csv_format_flattens_the_json_record(capsys, tmp_path, command):
+    # a record is a one-row table; `simulate` writes the rows of its record
     p1, p2 = _two_sample_files(tmp_path, "Ha")
+    simulate = ["--d", "8,16", "--R", "4", "--seed", "3"]
     argv = {
         "estimate": ["estimate", "--input", p1],
         "ci": ["ci", "--input", p1],
         "test": ["test", "--input1", p1, "--input2", p2, "--mode", "f2"],
         "power": ["power", "--nu1", "9", "--nu2", "11", "--ratio", "1.5"],
+        "simulate pc": ["simulate", "--study", "pc"] + simulate,
+        "simulate tests": ["simulate", "--study", "tests"] + simulate,
     }[command]
-    code, out, err = _run(capsys, argv)
+    code, out, err = _run(capsys, argv + ["--format", "json"])
     assert code == 0, err
-    expected = list(_flat_json(json.loads(out)))
+    record = json.loads(out)
+    expected = [list(_flat_json(row)) for row in record.get("rows", [record])]
     code, out, err = _run(capsys, argv + ["--format", "csv"])
     assert code == 0, err
-    header, values = csv.reader(io.StringIO(out))
-    assert header == [key for key, _ in expected]
-    assert values == [text for _, text in expected]
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == [key for key, _ in expected[0]]
+    assert rows == [[text for _, text in row] for row in expected]
+    values = rows[0]
     if command == "test":
         assert "components.h_star" in header
     if command == "estimate":
         # the scores, as a list, and the n >= 8 Jarque-Bera screen
         assert values[header.index("scores_tilde")].count(";") == 9
         assert values[header.index("jb_p_value")] != ""
+    if command.startswith("simulate"):
+        assert [row[header.index("d")] for row in rows] == ["8", "16"]
 
 
 def test_simulate_repeat_runs_byte_identical(capsys, tmp_path):
@@ -381,9 +407,12 @@ def test_simulate_json_stdout(capsys):
     assert payload["rows"][0]["reps"] == 4
 
 
-def test_simulate_rejects_bad_dimension_list():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["simulate", "--d", "8,x"])
+def test_simulate_rejects_bad_dimension_list(capsys):
+    for text, message in (("8,x", "bad dimension list '8,x'"), (",", "list is empty")):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["simulate", "--d", text])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_power_command_pinned_values(capsys):
@@ -487,6 +516,16 @@ def test_a_study_sets_the_heap_policy_once_and_the_loader_never(
     code, _, _ = _run(capsys, ["estimate", "--input", str(path)])
     assert code == 0
     assert applied() == []
+
+
+def test_a_failed_command_leaves_its_out_file_alone(capsys, tmp_path):
+    # nothing is written until the record is rendered
+    out = tmp_path / "ci.json"
+    out.write_text("kept\n")
+    argv = ["ci", "--lambda-tilde", "1", "--kappa", "inf", "--n", "10"]
+    code, _, err = _run(capsys, argv + ["--out", str(out)])
+    assert code == 1 and err.startswith("error: kappa_tilde")
+    assert out.read_text() == "kept\n"
 
 
 def test_default_seed_is_pinned():

@@ -3,6 +3,8 @@
 import csv
 import os
 import re
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -242,6 +244,43 @@ def test_load_matrix_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, monkeyp
     ):
         path.write_bytes(data)
         _raises_at_each_block_size(monkeypatch, path, message)
+
+
+_LOAD = """
+import sys
+
+from nrpca.dataio import load_matrix
+
+try:
+    print(load_matrix(sys.argv[1]).values.tobytes().hex())
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_load_matrix_reads_utf8_whatever_the_locale(tmp_path):
+    # the C locale's codec is ASCII: a UTF-8 label used to stop the loader
+    # with an UnboundLocalError there, and a locale's codec is no rule
+    # for which bytes a file may hold
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dataio.__file__)))
+
+    def load(path, utf8_mode):
+        env = dict(os.environ, PYTHONUTF8=utf8_mode, PYTHONCOERCECLOCALE="0")
+        env.update(LC_ALL="C", PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOAD, str(path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    path = tmp_path / "labels.csv"
+    path.write_bytes("gène,s1,s2,s3\ngène,1,2,3\ng2,4,5,7\n".encode("utf-8"))
+    rows = np.array([[1.0, 2, 3], [4, 5, 7]])
+    assert load(path, "0") == load(path, "1") == rows.tobytes().hex() + "\n"
+    path.write_bytes("gène,1,2,3\n".encode("latin-1"))
+    message = f"{path}: line 1: byte 2 (0xe8) is not UTF-8: invalid continuation byte\n"
+    assert load(path, "0") == load(path, "1") == message
 
 
 def _runs_on(line):

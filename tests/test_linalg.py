@@ -33,6 +33,8 @@ def test_data_matrix_validation():
         DataMatrix(np.ones((4, 2)))  # fewer than 3 samples
     with pytest.raises(ValueError):
         DataMatrix(np.array([[1.0, np.nan, 2.0]]))
+    with pytest.raises(ValueError, match="need at least one variable"):
+        DataMatrix(np.empty((0, 3)))
     m = DataMatrix(np.arange(12.0).reshape(3, 4))
     assert (m.d, m.n) == (3, 4)
 

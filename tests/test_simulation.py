@@ -633,6 +633,19 @@ def test_studies_keep_their_freed_memory(workers):
     assert float(proc.stdout) < 64, proc.stdout
 
 
+def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
+    # a C library with no mallopt: the heap policy is skipped, not an error
+    import ctypes
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    parallel._mallopt.cache_clear()
+    try:
+        assert parallel._mallopt() is None
+        parallel.keep_freed_memory()
+    finally:
+        parallel._mallopt.cache_clear()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_rows_follow_the_callers_d_order(workers):
     # jobs run largest d first; rows and samples come back as asked
