@@ -67,8 +67,6 @@ _SPLIT = {"delimiter": ",", "quotechar": '"', "comments": None}
 _FILLER = string.whitespace + ',"'
 # bytes per parse block: about 1.6 MB of float64 for a 40-column file
 _BLOCK_BYTES = 4 << 20
-# rows re-parsed at once while looking for the first bad row
-_LOCATE_ROWS = 1024
 
 
 def _parse(lines: list[str], cols) -> np.ndarray:
@@ -263,33 +261,34 @@ def _bad_cell(
     name: str, path: str, lo: int, hi: int, lineno: int, skip: int, cols
 ) -> ValueError:
     """The error for the first line in bytes [lo, hi) of `path`, of the
-    non-blank ones after the first `skip`, that has a non-numeric or
-    non-finite cell in columns `cols`, found by re-parsing runs of
-    lines, then one line, then one cell at a time with `_parse`.
-    `lineno` is the file line number of the first line."""
+    non-blank ones after the first `skip`, with a non-numeric or
+    non-finite cell in columns `cols`: `_parse` halves the run of lines
+    that holds it, then reads its cells one at a time. `lineno` is the
+    file line number of the first line."""
     _, keep, lines, _ = _read_lines(path, lo, hi)
-    for at in range(skip, len(lines), _LOCATE_ROWS):
-        run = lines[at : at + _LOCATE_ROWS]
+    first, last = skip, len(lines)
+    while last - first > 1:
+        mid = (first + last) // 2
         try:
-            if np.isfinite(_parse(run, cols)).all():
-                continue
+            clean = np.isfinite(_parse(lines[first:mid], cols)).all()
         except ValueError:
-            pass
-        for line, k in zip(run, keep[at:]):
-            cells = _cells(line)
-            for j in cols:
-                try:
-                    value = _parse([line], [j])[0, 0]
-                except ValueError:
-                    kind = "non-numeric"
-                else:
-                    if math.isfinite(value):
-                        continue
-                    kind = "non-finite"
-                return ValueError(
-                    f"{name}: line {lineno + k}, column {j + 1}: "
-                    f"{kind} value {cells[j]!r}"
-                )
+            clean = False
+        first, last = (mid, last) if clean else (first, mid)
+    line, k = lines[first], keep[first]
+    cells = _cells(line)
+    for j in cols:
+        try:
+            value = _parse([line], [j])[0, 0]
+        except ValueError:
+            kind = "non-numeric"
+        else:
+            if math.isfinite(value):
+                continue
+            kind = "non-finite"
+        return ValueError(
+            f"{name}: line {lineno + k}, column {j + 1}: "
+            f"{kind} value {cells[j]!r}"
+        )
     return ValueError(f"{name}: a data cell does not parse")
 
 

@@ -29,7 +29,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .estimators import DegenerateSpectrumError, NrEstimate
-from .sampling import _check_count
+from .sampling import _check_choice, _check_count
 
 __all__ = [
     "OrthogonalDirectionsError",
@@ -230,14 +230,12 @@ def contribution_ci(
         )
     df = n - 1
     pair = optimal_ab(df, alpha)
+    # (lt1, k) scaled alike give the same interval, and a power of two
+    # scales exactly: here no mass overflows and the larger input is normal
+    shift = -math.frexp(max(lambda_tilde_1, kappa_tilde))[1]
+    lambda_tilde_1 = math.ldexp(lambda_tilde_1, shift)
+    kappa_tilde = math.ldexp(kappa_tilde, shift)
     mass = df * lambda_tilde_1
-    if math.isinf(pair.b * kappa_tilde + mass):
-        # the mass or a denominator overflowed: the interval is the same
-        # for (lt1, k) scaled alike, and a power of two scales exactly
-        shift = -math.frexp(max(lambda_tilde_1, kappa_tilde))[1]
-        lambda_tilde_1 = math.ldexp(lambda_tilde_1, shift)
-        kappa_tilde = math.ldexp(kappa_tilde, shift)
-        mass = df * lambda_tilde_1
     lower = mass / (pair.b * kappa_tilde + mass)
     upper = mass / (pair.a * kappa_tilde + mass)
     return CiResult(
@@ -311,10 +309,7 @@ def test_f1(
     lt2 = _positive(lt2, "lt2")
     n1, n2 = _check_count("n1", n1, 3), _check_count("n2", n2, 3)
     alpha = _check_test_alpha(alpha)
-    if alternative not in ("two-sided", "less"):
-        raise ValueError(
-            f"alternative must be 'two-sided' or 'less', got {alternative!r}"
-        )
+    _check_choice("alternative", alternative, ("two-sided", "less"))
     statistic = lt1 / lt2
     components = TestComponents(lambda_ratio=statistic)
     return _outcome(statistic, n1 - 1, n2 - 1, alpha, components, alternative)
@@ -414,11 +409,10 @@ def asymptotic_power(
     The statistic converges to c*f with f ~ F_{nu1,nu2} and c the first
     eigenvalue ratio, divided by h for the direction-adjusted test and by
     h*gamma for the full-covariance test. The power is the probability
-    that c*f leaves the two-sided acceptance interval.
+    that c*f leaves the two-sided acceptance interval. `which` is one of
+    "f1", "f2" and "f3", lower case.
     """
-    for name, value in (("nu1", nu1), ("nu2", nu2)):
-        if _check_count(name, value) < 1:
-            raise ValueError(f"degrees of freedom must be positive, got {name}={value}")
+    nu1, nu2 = _check_count("nu1", nu1, 1), _check_count("nu2", nu2, 1)
     lambda_ratio = float(lambda_ratio)
     if not 0.0 < lambda_ratio < math.inf:
         raise ValueError(
@@ -430,15 +424,8 @@ def asymptotic_power(
         if not 1.0 <= value < math.inf:
             raise ValueError(f"{name} must be finite and >= 1, got {value}")
     alpha = _check_test_alpha(alpha)
-    which = which.lower()
-    if which == "f1":
-        c = lambda_ratio
-    elif which == "f2":
-        c = lambda_ratio / h
-    elif which == "f3":
-        c = lambda_ratio / (h * gamma)
-    else:
-        raise ValueError(f"which must be 'f1', 'f2' or 'f3', got {which!r}")
+    _check_choice("which", which, ("f1", "f2", "f3"))
+    c = lambda_ratio / {"f1": 1.0, "f2": h, "f3": h * gamma}[which]
     if c == 0.0:
         # lambda_ratio / (h * gamma) underflowed: c*f is 0, below any lower point
         return 1.0
@@ -471,6 +458,9 @@ def jarque_bera(values: np.ndarray) -> JarqueBera:
     n = values.size
     if n < 8:
         raise ValueError(f"need at least 8 values, got {n}")
+    # skewness and kurtosis are scale-free, and at the power of two that puts
+    # the largest magnitude in [1/2, 1) no moment overflows or underflows
+    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
     centered = values - values.mean()
     m2 = float(np.mean(centered**2))
     if m2 <= 0.0:

@@ -1,4 +1,5 @@
-"""Seeded random streams and the samplers the simulation harness uses.
+"""Seeded random streams and the samplers the simulation harness uses,
+and the package's count, seed and choice checks.
 
 The generator contract: every stream is a numpy Philox-4x64 counter
 generator whose raw 128-bit key is derived from a user seed and a path of
@@ -132,6 +133,13 @@ def _check_count(name: str, value, least: int = 0) -> int:
             f"{value.bit_length()} bits"
         ) from None
     return value
+
+
+def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
+    """Raises unless `value` is one of `choices`, compared exactly."""
+    if value not in choices:
+        listed = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+        raise ValueError(f"{name} must be {listed}, got {value!r}")
 
 
 def sample_std_normal(rng: np.random.Generator, size=None):

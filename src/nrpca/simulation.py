@@ -43,6 +43,7 @@ from .linalg import DataMatrix
 from .parallel import keep_freed_memory, ordered_map
 from .sampling import (
     Seed,
+    _check_choice,
     _check_count,
     _check_seed,
     _polar_normals,
@@ -84,8 +85,7 @@ class SpikeScenario:
     seed: Seed
 
     def __post_init__(self):
-        if self.model not in ("a", "b"):
-            raise ValueError(f"model must be 'a' or 'b', got {self.model!r}")
+        _check_choice("model", self.model, ("a", "b"))
         _check_count("d", self.d, 4)
         _check_count("n", self.n, 3)
         _check_seed(self.seed)
@@ -104,10 +104,7 @@ class TwoSampleScenario:
     seed: Seed
 
     def __post_init__(self):
-        if self.hypothesis not in ("H0", "Ha"):
-            raise ValueError(
-                f"hypothesis must be 'H0' or 'Ha', got {self.hypothesis!r}"
-            )
+        _check_choice("hypothesis", self.hypothesis, ("H0", "Ha"))
         _check_count("d", self.d, 8)
         _check_count("n1", self.n1, 3)
         _check_count("n2", self.n2, 3)
@@ -145,8 +142,7 @@ def spike_eigenvalues(model: str, d: int) -> np.ndarray:
 
     The returned array is cached and marked read-only.
     """
-    if model not in ("a", "b"):
-        raise ValueError(f"model must be 'a' or 'b', got {model!r}")
+    _check_choice("model", model, ("a", "b"))
     d = _check_count("d", d, 1)
     index = np.arange(1, d + 1, dtype=np.float64)
     if model == "a":

@@ -197,6 +197,32 @@ def test_load_matrix_error_search_stays_in_one_block(tmp_path, monkeypatch):
     assert all(len({block[line] for line in lines}) == 1 for lines in calls)
 
 
+def test_load_matrix_error_search_halves_the_block(tmp_path, monkeypatch):
+    # one block of 40 columns with a bad cell on data line 1024: runs of
+    # lines are re-parsed whole, halving toward it, and only the bad one
+    # cell by cell; a search that splits every line before it into cells
+    # makes 40 calls a line, and one that re-parses each line makes one
+    rows = np.random.default_rng(11).normal(size=(1100, 40))
+    lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
+    lines[1023] = lines[1023].rsplit(",", 1)[0] + ",oops"
+    path = tmp_path / "bad.csv"
+    path.write_text("".join(line + "\n" for line in lines))
+    calls = 0
+    parse = dataio._parse
+
+    def counting(lines, cols):
+        nonlocal calls
+        calls += 1
+        return parse(lines, cols)
+
+    monkeypatch.setattr(dataio, "_parse", counting)
+    message = "line 1024, column 40: non-numeric value 'oops'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_matrix(str(path))
+    # the load's own 3 calls, 11 halvings of 1100 lines, the 40 cells
+    assert calls < 100
+
+
 def test_load_matrix_drops_a_leading_byte_order_mark(tmp_path, monkeypatch):
     # as Excel writes UTF-8: the mark at offset 0 is no header cell
     path = tmp_path / "bom.csv"

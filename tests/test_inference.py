@@ -236,6 +236,19 @@ def test_contribution_ci_is_exact_under_power_of_two_scaling(lt1, kappa, n, top)
     assert (scaled.lower, scaled.upper) == (ci.lower, ci.upper)
 
 
+@pytest.mark.parametrize("k", [-1074, -1060, -1030])
+def test_contribution_ci_is_exact_at_subnormal_inputs(k):
+    # a subnormal x = 2^k holds fewer bits than 1.0, but 3x is still
+    # exact, and the interval is computed at a scale where neither is
+    # subnormal; at x = 1e-310, 3x would not be exactly 3 times x
+    x = math.ldexp(1.0, k)
+    for ratio in (1.0, 3.0):
+        got = contribution_ci(ratio * x, x, 10)
+        want = contribution_ci(ratio, 1.0, 10)
+        assert got.lower.hex() == want.lower.hex()
+        assert got.upper.hex() == want.upper.hex()
+
+
 def test_counts_must_be_integers():
     # a fractional count used to be truncated, and an infinite one or one
     # past the double range raised a bare OverflowError; each is now named
@@ -565,9 +578,12 @@ def test_asymptotic_power_rejects_bad_inputs():
         asymptotic_power(9, 19, -1.0)
     with pytest.raises(ValueError):
         asymptotic_power(9, 19, 1.0, alpha=0.5)
-    with pytest.raises(ValueError):
-        asymptotic_power(9, 19, 1.0, which="f4")
-    with pytest.raises(ValueError, match="degrees of freedom"):
+    # `which` is compared exactly, and a value that is not a string is
+    # refused like a wrong one
+    for which in ("f4", "F1", 3, None):
+        with pytest.raises(ValueError, match="^which must be"):
+            asymptotic_power(9, 19, 1.0, which=which)
+    with pytest.raises(ValueError, match="^nu1 must be an integer >= 1"):
         asymptotic_power(0, 19, 1.0)
     with pytest.raises(ValueError, match="alpha"):
         asymptotic_power(9, 19, 1.0, alpha=-0.1)
@@ -648,11 +664,30 @@ def test_jarque_bera_p_value_is_the_chi2_2_tail():
     assert math.exp(-0.5 * 1500.0) == 0.0
 
 
+@pytest.mark.parametrize("k", [-1014, -485, -100, 100, 330, 900])
+def test_jarque_bera_is_exact_under_power_of_two_scaling(k):
+    # of the raw scores times 2^k, m2^1.5 underflows to 0 at 2^-485 and
+    # the fourth powers overflow at 2^330; skewness and kurtosis are
+    # scale-free, so the bits must not move
+    x = np.random.default_rng(3).standard_normal((200, 12))
+    x[0] *= 30.0
+    scores = nr_estimate(x).scores_tilde
+    want = jarque_bera(scores)
+    got = jarque_bera(scores * 2.0**k)
+    assert (got.statistic, got.skewness, got.kurtosis) == (
+        want.statistic,
+        want.skewness,
+        want.kurtosis,
+    )
+
+
 def test_jarque_bera_rejects_bad_inputs():
     with pytest.raises(ValueError):
         jarque_bera(np.arange(7.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="zero variance"):
         jarque_bera(np.full(10, 2.5))
+    # tiny but not constant: the variance of the raw values underflows
+    assert jarque_bera([0.0] * 9 + [1e-200]).statistic > 0.0
     with pytest.raises(ValueError):
         jarque_bera(np.zeros((3, 4)))
     # a non-finite value used to give a nan statistic and p-value

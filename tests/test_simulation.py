@@ -22,6 +22,8 @@ import pytest
 from nrpca import dataio, parallel, simulation
 from nrpca.dataio import load_matrix
 from nrpca.estimators import nr_estimate
+from nrpca.inference import asymptotic_power
+from nrpca.inference import test_f1 as f1_test
 from nrpca.sampling import make_stream, sample_std_normal
 from nrpca.simulation import (
     SpikeScenario,
@@ -73,6 +75,37 @@ def test_scenario_validation():
         TwoSampleScenario(hypothesis="H2", d=8, n1=10, n2=20, seed=0)
     with pytest.raises(ValueError):
         TwoSampleScenario(hypothesis="H0", d=7, n1=10, n2=20, seed=0)
+
+
+@pytest.mark.parametrize(
+    "name, call, listed",
+    [
+        (
+            "alternative",
+            lambda v: f1_test(1.0, 2.0, 10, 20, alternative=v),
+            "'two-sided' or 'less'",
+        ),
+        (
+            "which",
+            lambda v: asymptotic_power(9, 19, 1.5, which=v),
+            "'f1', 'f2' or 'f3'",
+        ),
+        ("model", lambda v: SpikeScenario(model=v, d=8, n=10, seed=0), "'a' or 'b'"),
+        (
+            "hypothesis",
+            lambda v: TwoSampleScenario(hypothesis=v, d=8, n1=10, n2=20, seed=0),
+            "'H0' or 'Ha'",
+        ),
+        ("model", lambda v: spike_eigenvalues(v, 8), "'a' or 'b'"),
+    ],
+)
+def test_each_choice_names_its_options(name, call, listed):
+    # a choice is compared exactly: another case is refused, and so is a
+    # value that is not a string, with the same message
+    for value in ("F1", "A", "h0", 3, None):
+        with pytest.raises(ValueError) as info:
+            call(value)
+        assert str(info.value) == f"{name} must be {listed}, got {value!r}"
 
 
 def test_gen_spiked_truth_fields():
