@@ -7,11 +7,12 @@ interval for the first contribution ratio, three F-based equality tests
 for two covariance spectra, and a deterministic Monte Carlo harness.
 
 Importing the package loads numpy only. The Monte Carlo harness is the
-`nrpca.simulation` module (`run_estimation_mc`, `run_test_mc`, ...): it
-loads scipy.signal, so the package does not import it. `inference`
-imports scipy.special (its chi-square and F functions) and
-scipy.optimize (`optimal_ab`) on first call, so `import nrpca` and the
-non-simulating CLI commands start without scipy.
+`nrpca.simulation` module (`run_estimation_mc`, `run_test_mc`, ...),
+which the package does not import; only its AR(1) sampler `gen_ar1`,
+behind `run_test_mc`, loads scipy.signal. `inference` imports scipy.special
+(its chi-square and F functions) and scipy.optimize (`optimal_ab`) on
+first call, so `import nrpca` and the non-simulating CLI commands start
+without scipy.
 `nrpca estimate` never loads it: the Jarque-Bera p-value of its scores
 is the chi-square(2) upper tail, which is exp(-x/2) in closed form.
 

@@ -144,7 +144,8 @@ def _cmd_test(args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> dict:
-    from .simulation import run_estimation_mc, run_test_mc  # loads scipy.signal
+    # the tests study alone loads scipy.signal
+    from .simulation import run_estimation_mc, run_test_mc
 
     # the library keeps the default replication counts
     common = {"seed": args.seed, "workers": args.workers}

@@ -17,8 +17,11 @@ corrected eigenvalue drives the direction estimate
 a deliberately non-unit vector with ||h_tilde_1||^2 = lh_1/lt_1 >= 1,
 and the scores s_tilde_1j = sqrt((n-1) lambda_tilde_1) * u_hat_1j.
 
-`nr_estimate` is the one entry point and computes all of these in one
-pass; the fields and properties of `NrEstimate` expose each of them.
+`nr_estimate` is the one entry point; the fields and properties of
+`NrEstimate` expose each of these. It never makes a centered copy of
+the whole input: one pass over fixed blocks of `_BLOCK_ROWS` rows sums
+their Gram matrices, and a second forms h_tilde_1. An input of one
+block gives the bits of one whole product, and is centered once.
 `pc_direction` is internal: it stays a module-level function only so
 the benchmark tracer (`bench/tracing.py`) can wrap the direction matvec.
 """
@@ -30,7 +33,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import DataMatrix, center_columns, dual_covariance, sym_eigen
+from .linalg import (
+    DataMatrix,
+    SymMatrix,
+    _finite_gram,
+    center_columns,
+    dual_covariance,
+    sym_eigen,
+)
 
 __all__ = ["DegenerateSpectrumError", "NrEstimate", "nr_estimate"]
 
@@ -41,6 +51,9 @@ _CLAMP_REL = 1e-14
 # below this trace (the smallest normal over machine epsilon, 2^-970)
 # the Gram products have lost bits to underflow
 _GRAM_UNDERFLOW = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# rows per centered block: 8192 x 40 doubles is 2.6 MB, and the per-block
+# Gram product still runs at the whole array's speed
+_BLOCK_ROWS = 8192
 
 
 class DegenerateSpectrumError(ValueError):
@@ -115,9 +128,10 @@ class NrEstimate:
 def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
     """Run the full first-component pipeline on a data matrix.
 
-    Validates the input once, centers the columns, forms the dual
-    covariance, decomposes it, applies the noise correction, and computes
-    the scores and, with one matvec, the corrected direction.
+    Validates the input once; then, over row blocks, centers the columns
+    and sums the dual covariance; decomposes it, applies the noise
+    correction, and computes the scores and, with one more blocked
+    matvec pass, the corrected direction.
 
     Raises
     ------
@@ -127,12 +141,29 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
         if the first eigenvector lies mostly along the all-ones vector
         (constant rows), or if the trace is so small that the Gram
         matrix underflowed.
+    ValueError
+        If the Gram matrix overflowed double precision.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(x)
-    n = x.n
-    xc = center_columns(x)
-    eigenvalues, eigenvectors = sym_eigen(dual_covariance(xc))
+    d, n, values = x.d, x.n, x.values
+    starts = range(0, d, _BLOCK_ROWS)
+    cov = None
+    # the first block's covariance is the sum's start, so a one-block
+    # input gets the bits of one whole product; an overflow in centering
+    # or in the sum is named by the checks, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in starts:
+            xc = center_columns(values[start : start + _BLOCK_ROWS])
+            part = dual_covariance(xc)
+            if cov is not None:
+                total = cov.values + part.values
+                # the Gram itself; at n >= 3 this also keeps SymMatrix's
+                # total + total.T finite
+                _finite_gram((n - 1) * total)
+                part = SymMatrix(total)
+            cov = part
+    eigenvalues, eigenvectors = sym_eigen(cov)
     trace_dual = float(eigenvalues.sum())
     if trace_dual < _GRAM_UNDERFLOW:
         raise DegenerateSpectrumError(_NO_SPIKE)
@@ -152,16 +183,24 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
     # constant rows, not a spike
     if lt1 <= _CLAMP_REL * trace_dual or u1.sum() ** 2 > n / 2:
         raise DegenerateSpectrumError(_NO_SPIKE)
+    scale = (n - 1) * lt1
+    h_tilde_1 = np.empty(d)
+    # last block first: it is still centered from the first pass
+    for start in reversed(starts):
+        rows = slice(start, start + _BLOCK_ROWS)
+        if start != starts[-1]:
+            xc = center_columns(values[rows])
+        h_tilde_1[rows] = pc_direction(xc, u1, scale)
     lambda_hat = eigenvalues[: n - 1]
     return NrEstimate(
-        d=x.d,
+        d=d,
         n=n,
         lambda_tilde=lambda_tilde,
         lambda_hat=lambda_hat,
         # lambda_tilde_1 <= trace in exact arithmetic; clamp the round-off
         kappa_tilde=max(trace_dual - lt1, 0.0),
         trace_dual=trace_dual,
-        h_tilde_1=pc_direction(xc, u1, (n - 1) * lt1),
-        scores_tilde=math.sqrt((n - 1) * lt1) * u1,
+        h_tilde_1=h_tilde_1,
+        scores_tilde=math.sqrt(scale) * u1,
         scores_hat=math.sqrt((n - 1) * float(lambda_hat[0])) * u1,
     )

@@ -76,18 +76,31 @@ class SymMatrix:
         object.__setattr__(self, "values", (arr + arr.T) / 2.0)
 
 
-def center_columns(x: DataMatrix) -> np.ndarray:
+def center_columns(x: DataMatrix | np.ndarray) -> np.ndarray:
     """Subtract the sample mean from every column.
 
-    Equivalent to right-multiplying by the centering projector
-    I_n - 1_n 1_n^T / n; every row of the result sums to zero. Not
-    re-checked for finiteness: an overflowed column makes its own Gram
-    diagonal non-finite, so `dual_covariance` rejects it. The means are
-    taken over a C-ordered array, as numpy sums a row in another order
-    in Fortran order, so both layouts give the same bits.
+    Takes a DataMatrix or a 2-D float64 array already checked finite,
+    such as a row block of one; rows are centered independently, so a
+    block gives the bits of the same rows centered whole. Equivalent to
+    right-multiplying by the centering projector I_n - 1_n 1_n^T / n;
+    every row of the result sums to zero. Not re-checked for
+    finiteness: an overflowed column makes its own Gram diagonal
+    non-finite, so `dual_covariance` rejects it. The means are taken
+    over a C-ordered array, as numpy sums a row in another order in
+    Fortran order, so both layouts give the same bits.
     """
-    values = np.ascontiguousarray(x.values)
+    values = np.ascontiguousarray(x.values if isinstance(x, DataMatrix) else x)
     return values - values.mean(axis=1, keepdims=True)
+
+
+def _finite_gram(gram: np.ndarray) -> np.ndarray:
+    """`gram`, unless a product or sum in it left double precision."""
+    if not np.isfinite(gram).all():
+        raise ValueError(
+            "the Gram matrix overflowed double precision; "
+            "divide the data by a power of two"
+        )
+    return gram
 
 
 def dual_covariance(xc: np.ndarray) -> SymMatrix:
@@ -95,9 +108,11 @@ def dual_covariance(xc: np.ndarray) -> SymMatrix:
 
     Returns (Xc^T Xc)/(n - 1). Shares its nonzero eigenvalues with the
     d x d sample covariance; centering forces the smallest one to zero.
+    Raises ValueError if the products overflow.
     """
-    gram = xc.T @ xc
-    return SymMatrix(gram / (xc.shape[1] - 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = xc.T @ xc
+    return SymMatrix(_finite_gram(gram) / (xc.shape[1] - 1))
 
 
 def _apply_sign_convention(vectors: np.ndarray) -> None:

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .estimators import nr_estimate
 from .inference import _check_test_alpha, test_f1, test_f2, test_f3
@@ -135,6 +134,15 @@ class TwoSampleDraw:
     truth: TwoSampleTruth
 
 
+@cache
+def _lfilter():
+    """`scipy.signal.lfilter`, imported on first use: only the AR(1) tail
+    of the tests study needs it, and the import costs about 1 s and 50 MB."""
+    from scipy.signal import lfilter
+
+    return lfilter
+
+
 # typed, so that 8.0 or True cannot hit the entry that 8 or 1 made
 @lru_cache(maxsize=64, typed=True)
 def spike_eigenvalues(model: str, d: int) -> np.ndarray:
@@ -206,7 +214,7 @@ def gen_ar1(
     e = sample_std_normal(rng, shape)
     e[0] *= math.sqrt(scale)
     e[1:] *= math.sqrt(scale * (1.0 - rho * rho))
-    return lfilter([1.0], [1.0, -rho], e, axis=0)
+    return _lfilter()([1.0], [1.0, -rho], e, axis=0)
 
 
 def _spike_transforms(
@@ -476,6 +484,8 @@ def run_test_mc(
         TwoSampleScenario("H0", d, n1, n2, seed) for d in _d_list(d_values)
     ]
     half = reps // 2
+    # import scipy.signal here, once, rather than in every forked worker
+    _lfilter()
 
     def summarize(scenario, by_rep):
         # axes: replication, arm (null, alternative), statistic/rejection, test

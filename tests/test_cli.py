@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nrpca
 from nrpca import cli, dataio, parallel
 from nrpca.cli import DEFAULT_SEED, build_parser, main
 from nrpca.dataio import load_matrix, save_matrix
@@ -516,6 +520,26 @@ def test_a_study_sets_the_heap_policy_once_and_the_loader_never(
     code, _, _ = _run(capsys, ["estimate", "--input", str(path)])
     assert code == 0
     assert applied() == []
+
+
+def test_a_gram_overflow_fails_with_one_named_error(tmp_path):
+    # finite cells near 1e160 whose squares overflow: a subprocess, so
+    # that a RuntimeWarning would print as it does for a user
+    path = tmp_path / "big.csv"
+    values = np.random.default_rng(3).uniform(0.5, 1.5, size=(50, 10)) * 1e160
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    env = dict(os.environ)
+    src = str(Path(nrpca.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "nrpca.cli", "estimate", "--input", str(path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: the Gram matrix overflowed double precision")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_a_failed_command_leaves_its_out_file_alone(capsys, tmp_path):

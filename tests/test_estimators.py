@@ -6,6 +6,7 @@ disagreement points at the pipeline, not the formulas.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,18 @@ from hypothesis.extra.numpy import arrays
 from nrpca import estimators
 from nrpca.estimators import DegenerateSpectrumError, nr_estimate
 from nrpca.linalg import DataMatrix
+
+# the default row block, at which every matrix below is one block, and
+# one that splits them into several, most with a short last block
+BLOCK_ROWS = (estimators._BLOCK_ROWS, 7)
+
+
+def _at_each_block_size():
+    """Yield once per row-block size of nr_estimate."""
+    for rows in BLOCK_ROWS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_BLOCK_ROWS", rows)
+            yield rows
 
 
 def _oracle(x: np.ndarray):
@@ -175,21 +188,28 @@ def _estimate_or_error(x):
         return type(exc), str(exc)
 
 
-@PROPERTY
-@given(x=_matrices(st.floats(-1e150, 1e150)), data=st.data())
-def test_row_sign_flips_leave_estimates_bit_identical(x, data):
-    flip = data.draw(arrays(np.bool_, x.shape[0]))
-    want = _estimate_or_error(x)
-    got = _estimate_or_error(np.where(flip[:, None], -x, x))
+def _assert_bit_identical(got, want, names):
     if isinstance(want, tuple):
         assert got == want
         return
     assert not isinstance(got, tuple), got
-    for name in ("lambda_tilde", "lambda_hat", "scores_tilde", "scores_hat"):
+    for name in names:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.kappa_tilde == want.kappa_tilde
     assert got.trace_dual == want.trace_dual
     assert got.contribution_ratio == want.contribution_ratio
+
+
+@PROPERTY
+@given(x=_matrices(st.floats(-1e150, 1e150)), data=st.data())
+def test_row_sign_flips_leave_estimates_bit_identical(x, data):
+    flip = data.draw(arrays(np.bool_, x.shape[0]))
+    for _ in _at_each_block_size():
+        want = _estimate_or_error(x)
+        got = _estimate_or_error(np.where(flip[:, None], -x, x))
+        _assert_bit_identical(
+            got, want, ("lambda_tilde", "lambda_hat", "scores_tilde", "scores_hat")
+        )
 
 
 @PROPERTY
@@ -211,16 +231,11 @@ def test_row_permutations_keep_top_eigenvalue_and_tail(x, data):
 @PROPERTY
 @given(x=_matrices(st.floats(-1e150, 1e150)))
 def test_memory_layout_leaves_estimates_bit_identical(x):
-    want = _estimate_or_error(x)
-    got = _estimate_or_error(np.asfortranarray(x))
-    if isinstance(want, tuple):
-        assert got == want
-        return
-    assert not isinstance(got, tuple), got
-    for name in ("lambda_tilde", "lambda_hat", "h_tilde_1", "scores_tilde", "scores_hat"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.kappa_tilde == want.kappa_tilde
-    assert got.trace_dual == want.trace_dual
+    names = ("lambda_tilde", "lambda_hat", "h_tilde_1", "scores_tilde", "scores_hat")
+    for _ in _at_each_block_size():
+        want = _estimate_or_error(x)
+        got = _estimate_or_error(np.asfortranarray(x))
+        _assert_bit_identical(got, want, names)
 
 
 def _small_data_spike():
@@ -246,12 +261,63 @@ _LAPACK_RESCALES = pytest.mark.xfail(
 )
 def test_power_of_two_scaling_is_exact(k):
     x = _small_data_spike()
-    want = nr_estimate(x)
-    got = nr_estimate(x * 2.0**k)
-    assert got.lambda_tilde[0] == want.lambda_tilde[0] * 2.0 ** (2 * k)
-    assert got.scores_tilde.tobytes() == (want.scores_tilde * 2.0**k).tobytes()
-    assert got.scores_hat.tobytes() == (want.scores_hat * 2.0**k).tobytes()
-    assert got.contribution_ratio == want.contribution_ratio
+    for _ in _at_each_block_size():
+        want = nr_estimate(x)
+        got = nr_estimate(x * 2.0**k)
+        assert got.lambda_tilde[0] == want.lambda_tilde[0] * 2.0 ** (2 * k)
+        assert got.scores_tilde.tobytes() == (want.scores_tilde * 2.0**k).tobytes()
+        assert got.scores_hat.tobytes() == (want.scores_hat * 2.0**k).tobytes()
+        assert got.contribution_ratio == want.contribution_ratio
+
+
+def test_estimate_holds_one_centered_block_not_a_centered_copy():
+    # a whole centered copy alone is 1.0 x.nbytes; one 8192-row block is
+    # 0.125 of it here, and the direction d-vector 0.1
+    x = np.random.default_rng(3).standard_normal((65536, 10))
+    x[0] *= 300.0
+    tracemalloc.start()
+    try:
+        nr_estimate(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * x.nbytes
+
+
+# summing the Gram over blocks reorders its additions, and a one-row
+# block's matvec need not round as the whole gemv does
+BLOCKED_TOL = 1e-12
+
+
+def test_a_one_row_last_block_matches_the_whole_array():
+    d = 3 * estimators._BLOCK_ROWS + 1
+    x = np.random.default_rng(13).standard_normal((d, 10))
+    x[0] *= 200.0
+    got = nr_estimate(x)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimators, "_BLOCK_ROWS", d)
+        want = nr_estimate(x)
+    for name in (
+        "lambda_tilde", "lambda_hat", "kappa_tilde", "trace_dual",
+        "h_tilde_1", "scores_tilde", "scores_hat",
+    ):
+        g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
+        assert np.max(np.abs(g - w)) <= BLOCKED_TOL * np.max(np.abs(w)), name
+
+
+def test_gram_overflow_names_itself(monkeypatch):
+    # finite values near 1e160 whose squares are not
+    x = np.random.default_rng(4).uniform(0.5, 1.5, size=(50, 10)) * 1e160
+    with pytest.raises(ValueError, match="^the Gram matrix overflowed double precision"):
+        nr_estimate(x)
+    # each 7-row block's covariance is finite, at 7 a^2 / 2; the sum of 4
+    # overflows, and the sum of 2 does not (0.6 of the largest double),
+    # but the Gram it stands for does, as one whole product would
+    monkeypatch.setattr(estimators, "_BLOCK_ROWS", 7)
+    for d, a in ((28, 4.1e153), (14, 3.92e153)):
+        x = np.tile([a, -a, 0.0], (d, 1))
+        with pytest.raises(ValueError, match="^the Gram matrix overflowed double"):
+            nr_estimate(x)
 
 
 @pytest.mark.parametrize(

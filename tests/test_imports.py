@@ -10,7 +10,7 @@ import numpy as np
 
 import nrpca
 
-# modules that only `simulate` (scipy.signal), the interval solver
+# modules that only the tests study (scipy.signal), the interval solver
 # (scipy.optimize) and the distribution functions (scipy.special) use,
 # which load on first use, and scipy.stats, which only the tests use as
 # an oracle
@@ -30,7 +30,7 @@ def _run(code: str) -> str:
 
 
 def test_import_leaves_deferred_modules_unloaded():
-    for module in ("nrpca", "nrpca.cli"):
+    for module in ("nrpca", "nrpca.cli", "nrpca.simulation"):
         out = _run(
             f"import sys, {module}\n"
             f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))"
@@ -53,6 +53,22 @@ def test_estimate_runs_without_scipy(tmp_path):
     )
     assert loaded.strip() == "[]", f"nrpca estimate loaded {loaded.strip()}"
     assert 0.0 < json.loads(out.read_text())["jb_p_value"] <= 1.0
+
+
+def test_only_the_tests_study_loads_scipy_signal():
+    # the estimation study never filters, so it leaves scipy.signal
+    # unloaded; the tests study loads it in the caller before its pool
+    # forks, not in each worker alone
+    out = _run(
+        "import sys\n"
+        "from nrpca.simulation import run_estimation_mc, run_test_mc\n"
+        "for model in ('a', 'b'):\n"
+        "    run_estimation_mc(model, [64], n=5, reps=4, workers=2)\n"
+        "print('scipy.signal' in sys.modules)\n"
+        "run_test_mc([64], reps=4, workers=2)\n"
+        "print('scipy.signal' in sys.modules)"
+    )
+    assert out.split() == ["False", "True"]
 
 
 # the package surface: `nrpca.__all__` is built from the modules' own
