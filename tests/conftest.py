@@ -3,11 +3,21 @@
 The acceptance tests lean on a few large Monte Carlo runs. Those are
 computed once per session here; the tests themselves only assert on the
 frozen summaries. A terminal hook prints one verdict line per numbered
-acceptance check at the end of the run.
+acceptance check at the end of the run. `run_python` starts a fresh
+interpreter on this checkout's package, for the checks that need a
+process of their own: the command line as a user runs it, what an
+import loads, or a locale.
 """
+
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nrpca
 from nrpca.simulation import run_estimation_mc, run_test_mc
 
 # every acceptance-scale run draws from this seed; the bands asserted in
@@ -52,6 +62,32 @@ def tests_2048():
     return run_test_mc(
         [2048], n1=10, n2=20, reps=4000, seed=ACCEPTANCE_SEED, keep_samples=True
     )
+
+
+# the directory that holds the nrpca package under test
+_SRC = str(Path(nrpca.__file__).resolve().parent.parent)
+
+
+def _run_python(*args, code=None, env=None, one_core=False):
+    """`python -m nrpca.cli *args`, or `python -c code *args`, finished,
+    with its output as text. `env` entries are set over this process's
+    environment; `one_core` pins the child alone to one core."""
+    child_env = dict(os.environ, **(env or {}))
+    child_env["PYTHONPATH"] = _SRC + os.pathsep + child_env.get("PYTHONPATH", "")
+    pin = None
+    if one_core:
+        pin = functools.partial(os.sched_setaffinity, 0, {min(os.sched_getaffinity(0))})
+    start = ["-m", "nrpca.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *start, *map(str, args)],
+        env=child_env, preexec_fn=pin, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    """The subprocess runner above."""
+    return _run_python
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

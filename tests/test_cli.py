@@ -4,9 +4,6 @@ import csv
 import io
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import nrpca
 from nrpca import cli, dataio, parallel
 from nrpca.cli import DEFAULT_SEED, build_parser, main
 from nrpca.dataio import load_matrix, save_matrix
@@ -48,6 +44,11 @@ def test_estimate_json_fields(capsys, spiked_csv):
     code, out, err = _run(capsys, ["estimate", "--input", spiked_csv])
     assert code == 0 and err == ""
     record = json.loads(out)
+    assert set(record) == {
+        "d", "n", "lambda_tilde_1", "lambda_hat_1", "kappa_tilde", "trace_dual",
+        "contribution_ratio", "h_tilde_norm_sq", "scores_tilde", "scores_hat",
+        "jb_statistic", "jb_p_value",
+    }
     assert record["d"] == 12 and record["n"] == 10
     assert record["lambda_tilde_1"] < record["lambda_hat_1"]
     assert record["kappa_tilde"] + record["lambda_tilde_1"] == pytest.approx(
@@ -145,16 +146,19 @@ def test_estimate_standardize_sets_trace(capsys, tmp_path):
 
 
 def test_ci_from_summary_numbers_matches_library(capsys):
-    code, out, err = _run(
-        capsys,
-        ["ci", "--lambda-tilde", "2717", "--kappa", "9865", "--n", "20"],
-    )
-    assert code == 0 and err == ""
-    record = json.loads(out)
-    want = contribution_ci(2717.0, 9865.0, 20)
-    assert record["lower"] == want.lower
-    assert record["upper"] == want.upper
-    assert record["df"] == 19
+    # (n - 1) * 1e308 is past the double range; the interval is found at
+    # a common power-of-two scale
+    for lt1, kappa, n in ((2717.0, 9865.0, 20), (1e308, 1.0, 10)):
+        argv = ["--lambda-tilde", repr(lt1), "--kappa", repr(kappa), "--n", str(n)]
+        code, out, err = _run(capsys, ["ci"] + argv)
+        assert code == 0 and err == ""
+        # json.loads takes one JSON value and rejects anything after it
+        record = json.loads(out)
+        want = contribution_ci(lt1, kappa, n)
+        assert record["lower"] == want.lower
+        assert record["upper"] == want.upper
+        assert 0.0 <= record["lower"] <= record["upper"] <= 1.0
+        assert record["df"] == n - 1
 
 
 def test_ci_requires_input_or_summary(capsys):
@@ -208,6 +212,9 @@ def test_ci_from_matrix(capsys, spiked_csv):
     code, out, _ = _run(capsys, ["ci", "--input", spiked_csv])
     assert code == 0
     record = json.loads(out)
+    assert set(record) == {
+        "lambda_tilde_1", "kappa_tilde", "n", "lower", "upper", "a", "b", "alpha", "df",
+    }
     assert 0.0 <= record["lower"] <= record["upper"] <= 1.0
     assert record["n"] == 10
 
@@ -233,12 +240,17 @@ def test_test_command_modes(capsys, tmp_path):
         )
         assert code == 0, err
         record = json.loads(out)
+        assert set(record) == {
+            "mode", "statistic", "nu1", "nu2", "alpha", "alternative",
+            "lower_crit", "upper_crit", "reject_null", "components",
+        }
         assert record["mode"] == mode
         assert record["statistic"] > 0
         assert isinstance(record["reject_null"], bool)
         assert (record["nu1"], record["nu2"]) == (9, 11)
-    assert "h_star" in record["components"]
-    assert "gamma_star" in record["components"]
+    assert set(record["components"]) == {
+        "lambda_ratio", "h_tilde", "h_star", "gamma_tilde", "gamma_star",
+    }
 
 
 @pytest.mark.parametrize("mode", ["f2", "f3"])
@@ -478,6 +490,14 @@ def test_simulate_rejects_zero_workers(capsys):
     assert err.count("\n") == 1
 
 
+def test_simulate_refuses_alpha_zero(capsys):
+    # outside the library's one test-alpha range, (0, 1/2), and named
+    # before any replication starts
+    code, out, err = _run(capsys, _TINY_SIMULATION + ["--alpha", "0"])
+    assert (code, out) == (1, "")
+    assert err == "error: test alpha must lie in (0, 1/2), got 0.0\n"
+
+
 def test_a_study_sets_the_heap_policy_once_and_the_loader_never(
     capsys, monkeypatch, tmp_path
 ):
@@ -522,24 +542,60 @@ def test_a_study_sets_the_heap_policy_once_and_the_loader_never(
     assert applied() == []
 
 
-def test_a_gram_overflow_fails_with_one_named_error(tmp_path):
+def test_a_gram_overflow_fails_with_one_named_error(run_python, tmp_path):
     # finite cells near 1e160 whose squares overflow: a subprocess, so
     # that a RuntimeWarning would print as it does for a user
     path = tmp_path / "big.csv"
     values = np.random.default_rng(3).uniform(0.5, 1.5, size=(50, 10)) * 1e160
     np.savetxt(path, values, fmt="%.17g", delimiter=",")
-    env = dict(os.environ)
-    src = str(Path(nrpca.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "nrpca.cli", "estimate", "--input", str(path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python("estimate", "--input", path)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: the Gram matrix overflowed double precision")
     assert proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def multi_block_csvs(tmp_path_factory):
+    # about 16 MB as a spreadsheet writes it, labelled and with CRLF line
+    # ends: several parse blocks, so every core parses, and three
+    # estimator row blocks; the second file's last cell is no number
+    x = np.random.default_rng(7).normal(size=(20000, 40))
+    cells = ",".join(["%.17g"] * 40)
+    lines = ["gene," + ",".join(f"s{j + 1}" for j in range(40))]
+    lines += [f"g{i}," + cells % tuple(row) for i, row in enumerate(x)]
+    folder = tmp_path_factory.mktemp("multi_block")
+    good, bad = folder / "big.csv", folder / "bad.csv"
+    good.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",oops"
+    bad.write_bytes("\r\n".join(lines).encode() + b"\r\n")
+    return good, bad
+
+
+def test_estimate_on_a_multi_block_csv_at_one_core_and_at_all(
+    run_python, multi_block_csvs, tmp_path
+):
+    # as a user runs it, pinned to one core and free to use every one
+    outputs = []
+    for one_core in (True, False):
+        out = tmp_path / "est.json"
+        argv = ["estimate", "--input", multi_block_csvs[0], "--out", out]
+        proc = run_python(*argv, one_core=one_core)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_estimate_names_the_bad_cell_of_a_multi_block_csv_at_one_core_and_at_all(
+    run_python, multi_block_csvs, tmp_path
+):
+    bad = multi_block_csvs[1]
+    message = f"error: {bad}: line 20001, column 41: non-numeric value 'oops'\n"
+    for one_core in (True, False):
+        argv = ["estimate", "--input", bad, "--out", tmp_path / "bad.json"]
+        proc = run_python(*argv, one_core=one_core)
+        assert (proc.returncode, proc.stderr) == (1, message)
 
 
 def test_a_failed_command_leaves_its_out_file_alone(capsys, tmp_path):

@@ -3,8 +3,6 @@
 import csv
 import os
 import re
-import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -284,19 +282,13 @@ except ValueError as exc:
 """
 
 
-def test_load_matrix_reads_utf8_whatever_the_locale(tmp_path):
+def test_load_matrix_reads_utf8_whatever_the_locale(run_python, tmp_path):
     # the C locale's codec is ASCII: a UTF-8 label used to stop the loader
     # with an UnboundLocalError there, and a locale's codec is no rule
     # for which bytes a file may hold
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dataio.__file__)))
-
     def load(path, utf8_mode):
-        env = dict(os.environ, PYTHONUTF8=utf8_mode, PYTHONCOERCECLOCALE="0")
-        env.update(LC_ALL="C", PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
-        proc = subprocess.run(
-            [sys.executable, "-c", _LOAD, str(path)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        env = {"PYTHONUTF8": utf8_mode, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        proc = run_python(path, code=_LOAD, env=env)
         assert (proc.returncode, proc.stderr) == (0, "")
         return proc.stdout
 

@@ -1,12 +1,13 @@
-"""What importing the package loads, and that every public name resolves."""
+"""What importing the package loads, that every public name resolves,
+and that every Python file parses at the oldest Python allowed."""
 
+import ast
 import json
-import os
-import subprocess
-import sys
+import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nrpca
 
@@ -17,28 +18,23 @@ import nrpca
 DEFERRED = ("scipy.signal", "scipy.optimize", "scipy.special", "scipy.stats")
 
 
-def _run(code: str) -> str:
-    src = str(Path(nrpca.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+def _run(run_python, code: str) -> str:
+    proc = run_python(code=code)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
 
-def test_import_leaves_deferred_modules_unloaded():
+def test_import_leaves_deferred_modules_unloaded(run_python):
     for module in ("nrpca", "nrpca.cli", "nrpca.simulation"):
         out = _run(
+            run_python,
             f"import sys, {module}\n"
             f"print(sorted(m for m in {DEFERRED!r} if m in sys.modules))"
         )
         assert out.strip() == "[]", f"import {module} loaded {out.strip()}"
 
 
-def test_estimate_runs_without_scipy(tmp_path):
+def test_estimate_runs_without_scipy(run_python, tmp_path):
     # n = 12 >= 8, so the Jarque-Bera screen runs: its chi-square(2)
     # tail is exp(-x/2), and the whole command needs numpy only
     values = np.random.default_rng(5).normal(size=(50, 12))
@@ -46,6 +42,7 @@ def test_estimate_runs_without_scipy(tmp_path):
     np.savetxt(path, values, fmt="%.17g", delimiter=",")
     argv = ["estimate", "--input", str(path), "--out", str(out)]
     loaded = _run(
+        run_python,
         "import sys\n"
         "from nrpca import cli\n"
         f"assert cli.main({argv!r}) == 0\n"
@@ -55,11 +52,12 @@ def test_estimate_runs_without_scipy(tmp_path):
     assert 0.0 < json.loads(out.read_text())["jb_p_value"] <= 1.0
 
 
-def test_only_the_tests_study_loads_scipy_signal():
+def test_only_the_tests_study_loads_scipy_signal(run_python):
     # the estimation study never filters, so it leaves scipy.signal
     # unloaded; the tests study loads it in the caller before its pool
     # forks, not in each worker alone
     out = _run(
+        run_python,
         "import sys\n"
         "from nrpca.simulation import run_estimation_mc, run_test_mc\n"
         "for model in ('a', 'b'):\n"
@@ -89,8 +87,9 @@ def test_public_names_are_pinned():
     assert len(nrpca.__all__) == len(set(nrpca.__all__))
 
 
-def test_every_public_name_resolves():
+def test_every_public_name_resolves(run_python):
     out = _run(
+        run_python,
         "import nrpca\n"
         "missing = [n for n in nrpca.__all__ if not hasattr(nrpca, n)]\n"
         "namespace = {}\n"
@@ -122,3 +121,25 @@ def test_folded_estimator_helpers_are_gone():
     ):
         assert not hasattr(nrpca, name), name
         assert name not in nrpca.__all__, name
+
+
+def test_every_file_parses_at_the_oldest_python():
+    # syntax newer than pyproject.toml's floor (`except*`, `type X = int`,
+    # `def f[T]()`) fails here on any Python; only an interpreter at the
+    # floor catches a standard library name newer than it
+    root = Path(__file__).resolve().parent.parent
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=3\.(\d+)"$', pyproject, re.M)
+    version = (3, int(floor[1]))
+    newer = (
+        "try:\n    pass\nexcept* OSError:\n    pass\n",
+        "type X = int\n",
+        "def f[T](): pass\n",
+    )
+    for text in newer:
+        with pytest.raises(SyntaxError):
+            ast.parse(text, feature_version=version)
+    files = [p for top in ("src", "tests", "bench") for p in (root / top).rglob("*.py")]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

@@ -13,8 +13,6 @@ import json
 import math
 import multiprocessing
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -649,19 +647,13 @@ print(max(summary.rows))
 
 @pytest.mark.skipif(parallel._mallopt() is None, reason="no mallopt in this C library")
 @pytest.mark.parametrize("workers", [1, 2])
-def test_studies_keep_their_freed_memory(workers):
+def test_studies_keep_their_freed_memory(run_python, workers):
     # without the heap policy each replication gives its arrays back to
     # the kernel and faults them in again: about 600 faults, not 6, at
     # one worker as in a pool. A fresh interpreter, because glibc raises
     # its thresholds as a process frees large blocks, and forked workers
     # inherit what the parent did
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(parallel.__file__)))
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PER_REP, str(workers)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    proc = run_python(workers, code=_FAULTS_PER_REP)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 64, proc.stdout
 
