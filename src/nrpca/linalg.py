@@ -25,7 +25,9 @@ __all__ = [
 
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    # min and max carry a NaN through and allocate nothing the size of
+    # arr, where np.isfinite(arr) would allocate a bool per entry
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
         raise ValueError(f"{name} must contain only finite values")
     return arr
 

@@ -2,6 +2,25 @@
 the Monte Carlo harness and the only place that sizes the pool, and the
 heap policy of a Monte Carlo study.
 
+The pool. This module owns at most one pool of forked workers per
+process and keeps it between calls. Its key is (pid, pool size, mapped
+function), the function being `fn.func` for a `functools.partial`. An
+`ordered_map` with the key of the live pool maps onto its workers; one
+with a new key shuts the old pool down, waiting for its workers, and
+forks a new one. A worker sees every module as it was when it was
+forked, so the key holds the function: a study that imports a module or
+sets the heap policy before it maps gets workers forked after that. A
+process forked from the pool's owner, such as one of its workers, sees
+another pid and forks a pool of its own. One lock spans choosing the
+pool and its map, so two threads never shut down each other's pool. An
+exception out of the map, from a job, a dead worker or an interrupt,
+shuts the pool down, cancelling the jobs not yet started. Otherwise the
+pool lives until the process exits, when it is shut down before
+multiprocessing joins the process's children, or until `close_pool`. On
+Python >= 3.12, a `fork` made elsewhere in the process while the pool
+lives warns with CPython's `DeprecationWarning` about forking a process
+that has threads, because the pool keeps a manager thread.
+
 Heap policy. A replication at d = 8192 frees arrays of 0.3-0.9 MB (polar
 uniforms and temporaries, the sample, its centered copy). glibc's dynamic
 mmap and trim thresholds hand them back to the kernel, so the next
@@ -22,14 +41,31 @@ from __future__ import annotations
 
 import functools
 import os
+import threading
 
-__all__ = ["keep_freed_memory", "ordered_map"]
+__all__ = ["close_pool", "keep_freed_memory", "ordered_map"]
 
 # mallopt parameters from glibc's <malloc.h>
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD = 32 << 20  # glibc's largest allowed value on 64-bit
 _TRIM_THRESHOLD = 64 << 20
+
+# the cached pool as ((pid, size, function), executor, its shutdown), or None
+_pool = None
+# reentrant: `ordered_map` closes a failed pool while it holds the lock
+_lock = threading.RLock()
+
+
+def _new_lock_in_child() -> None:
+    # a child forked while a thread holds the lock, as every worker is,
+    # inherits it held; a copy of another thread's lock is never released
+    global _lock
+    _lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_lock_in_child)
 
 
 @functools.cache
@@ -57,7 +93,9 @@ def keep_freed_memory() -> None:
 def ordered_map(fn, *jobs: list, workers: int) -> list:
     """`list(map(fn, *jobs))` in up to `workers` forked processes, at
     most one per job and one per core in the affinity mask, or one in
-    all where the platform has no `os.sched_getaffinity`. A daemonic
+    all where the platform has no `os.sched_getaffinity`. The processes
+    are this process's cached pool when its key matches (see above),
+    and a new pool otherwise, which stays for later calls. A daemonic
     process, such as a multiprocessing.Pool worker, may not start
     processes of its own: it maps serially."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -66,12 +104,51 @@ def ordered_map(fn, *jobs: list, workers: int) -> list:
         import multiprocessing
 
         if not multiprocessing.current_process().daemon:
-            from concurrent.futures import ProcessPoolExecutor
-
-            # forked workers share the loaded modules: spawned ones would
-            # import numpy again and re-run a caller's main module
-            context = multiprocessing.get_context("fork")
             chunksize = -(-len(jobs[0]) // (4 * workers))
-            with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                return list(pool.map(fn, *jobs, chunksize=chunksize))
+            with _lock:
+                pool = _pool_for(fn, workers)
+                try:
+                    return list(pool.map(fn, *jobs, chunksize=chunksize))
+                except BaseException:
+                    close_pool()
+                    raise
     return list(map(fn, *jobs))
+
+
+def _pool_for(fn, workers: int):
+    """The cached pool if its key is (this pid, `workers`, `fn`), or a
+    new one in its place."""
+    global _pool
+    func = fn.func if isinstance(fn, functools.partial) else fn
+    key = (os.getpid(), workers, func)
+    if _pool is None or _pool[0] != key:
+        close_pool()
+        import multiprocessing.util
+        from concurrent.futures import ProcessPoolExecutor
+
+        # forked workers share the loaded modules: spawned ones would
+        # import numpy again and re-run a caller's main module
+        context = multiprocessing.get_context("fork")
+        pool = ProcessPoolExecutor(workers, mp_context=context)
+        # A Finalize runs in the process that made it and no other. At
+        # exit, multiprocessing runs those of priority >= 0, highest
+        # first, then joins the process's children, the workers among
+        # them; above 10, this one runs while the pool's queues still
+        # carry the workers' stop signals.
+        shutdown = multiprocessing.util.Finalize(
+            None, pool.shutdown, kwargs={"cancel_futures": True}, exitpriority=20
+        )
+        _pool = key, pool, shutdown
+    return _pool[1]
+
+
+def close_pool() -> None:
+    """Shut this process's cached pool down, cancelling the jobs not yet
+    started and waiting for its workers to exit, and drop it. A pool that
+    a parent process forked is dropped without being touched."""
+    global _pool
+    with _lock:
+        if _pool is not None:
+            shutdown = _pool[2]
+            _pool = None
+            shutdown()

@@ -13,13 +13,20 @@ its own counter-based substream keyed by (seed, d, replication, arm).
 Both studies run through one loop, `_run_study`. A study checks its
 arguments by building one frozen scenario per d, and those scenarios
 are the jobs: `_run_study` maps every (scenario, replication) pair
-through `parallel.ordered_map`, the pool the CSV loader uses too: at
+through `parallel.ordered_map`, the map the CSV loader uses too: at
 most `workers` forked processes, one per usable core and one per job,
 so a count above the core count runs at the core count; and a serial
-map in a daemonic process, which may not start processes. First it
-applies `parallel.keep_freed_memory` to the calling process, whose forked
-workers inherit it: replications reuse freed memory instead of faulting
-it in again. The setting outlives the call and never changes a value.
+map in a daemonic process, which may not start processes. The processes
+are the one pool that `parallel` caches per process and keeps until the
+interpreter exits: a later study of the same kind at the same pool size
+maps onto the workers an earlier one forked, while a study of the other
+kind or a multi-block CSV load forks a new pool in its place. Workers
+see every module as it was when they were forked, so a study imports
+what its replications need, and sets the heap policy, before it maps.
+First it applies `parallel.keep_freed_memory` to the calling process,
+whose forked workers inherit it: replications reuse freed memory
+instead of faulting it in again. The setting outlives the call and
+never changes a value.
 Jobs are submitted largest d first, so the pool's last chunks are the
 cheapest, and the results are put back in (d, replication) order, where
 the study's summary turns each d's values into its row and its named

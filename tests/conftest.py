@@ -3,7 +3,8 @@
 The acceptance tests lean on a few large Monte Carlo runs. Those are
 computed once per session here; the tests themselves only assert on the
 frozen summaries. A terminal hook prints one verdict line per numbered
-acceptance check at the end of the run. `run_python` starts a fresh
+acceptance check at the end of the run. Every test starts and ends
+with no cached worker pool. `run_python` starts a fresh
 interpreter on this checkout's package, for the checks that need a
 process of their own: the command line as a user runs it, what an
 import loads, or a locale.
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import nrpca
+from nrpca import parallel
 from nrpca.simulation import run_estimation_mc, run_test_mc
 
 # every acceptance-scale run draws from this seed; the bands asserted in
@@ -62,6 +64,15 @@ def tests_2048():
     return run_test_mc(
         [2048], n1=10, n2=20, reps=4000, seed=ACCEPTANCE_SEED, keep_samples=True
     )
+
+
+@pytest.fixture(autouse=True)
+def _no_cached_pool():
+    """Each test starts and ends with no cached worker pool, so which
+    pools a test forks does not depend on the tests before it."""
+    parallel.close_pool()
+    yield
+    parallel.close_pool()
 
 
 # the directory that holds the nrpca package under test

@@ -6,6 +6,8 @@ divide-and-conquer one numpy's eigh uses, and against the residual,
 orthogonality and trace bounds it promises.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import linalg as sla
@@ -37,6 +39,24 @@ def test_data_matrix_validation():
         DataMatrix(np.empty((0, 3)))
     m = DataMatrix(np.arange(12.0).reshape(3, 4))
     assert (m.d, m.n) == (3, 4)
+
+
+def test_data_matrix_checks_finiteness_in_place():
+    # the check allocates nothing the size of the input, where a bool
+    # per entry would be an eighth of it; NaN and both infinities fail
+    x = np.random.default_rng(3).normal(size=(100_000, 20))
+    tracemalloc.start()
+    try:
+        DataMatrix(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * x.nbytes
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x[:50].copy()
+        y[7, 3] = bad
+        with pytest.raises(ValueError, match="^values must contain only finite values$"):
+            DataMatrix(y)
 
 
 def test_sym_matrix_symmetrizes_and_rejects():

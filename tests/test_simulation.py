@@ -13,6 +13,8 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -367,6 +369,125 @@ def test_load_matrix_pool_capped_at_block_count(tmp_path, monkeypatch):
             loaded[cores] = load_matrix(str(path)).values.tobytes()
     assert sizes == [2, 3]
     assert loaded[1] == loaded[2] == loaded[8] == values.tobytes()
+
+
+def test_pool_is_forked_once_per_function(tmp_path, monkeypatch):
+    # two studies of one kind map onto one pool; a study of the other
+    # kind and a multi-block load each fork a pool of their own, and
+    # every row is the one a single worker gives
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for seed in (2, 3):
+        pooled = run_estimation_mc(
+            "b", [8, 64], n=10, reps=4, seed=seed, workers=2, keep_samples=True
+        )
+        serial = run_estimation_mc(
+            "b", [8, 64], n=10, reps=4, seed=seed, workers=1, keep_samples=True
+        )
+        _assert_same_summary(serial, pooled)
+    assert sizes == [2]
+    pooled = run_test_mc(
+        [8], n1=5, n2=6, reps=6, seed=21, workers=2, keep_samples=True
+    )
+    serial = run_test_mc(
+        [8], n1=5, n2=6, reps=6, seed=21, workers=1, keep_samples=True
+    )
+    _assert_same_summary(serial, pooled)
+    assert sizes == [2, 2]
+    path, values = _three_block_csv(tmp_path)
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 200)
+    assert load_matrix(str(path)).values.tobytes() == values.tobytes()
+    assert sizes == [2, 2, 2]
+
+
+def _fails_at_three(job):
+    if job == 3:
+        raise KeyError(job)
+    return job
+
+
+def _exits_at_three(job):
+    if job == 3:
+        os._exit(1)
+    return job
+
+
+@pytest.mark.parametrize(
+    "job, error", [(_fails_at_three, KeyError), (_exits_at_three, BrokenProcessPool)]
+)
+def test_a_failed_map_shuts_its_pool_down(job, error, monkeypatch):
+    # the caller gets the job's error, or the broken pool's; the pool's
+    # workers are gone, and the next pooled study forks a working one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    serial = run_estimation_mc(
+        "b", [8, 64], n=10, reps=4, seed=2, workers=1, keep_samples=True
+    )
+    with pytest.raises(error):
+        parallel.ordered_map(job, list(range(8)), workers=2)
+    assert multiprocessing.active_children() == []
+    assert parallel.ordered_map(job, [0, 1, 2, 4], workers=2) == [0, 1, 2, 4]
+    pooled = run_estimation_mc(
+        "b", [8, 64], n=10, reps=4, seed=2, workers=2, keep_samples=True
+    )
+    _assert_same_summary(serial, pooled)
+
+
+def _study_in_a_process_group(study, options):
+    # its own group, so a failing test can stop it with its workers
+    os.setpgid(0, 0)
+    run_estimation_mc(*study, **options)
+
+
+def test_a_pooled_study_in_a_child_process_exits(monkeypatch):
+    # the child sees its parent's pool as another process's and forks its
+    # own, which it shuts down before multiprocessing joins its children
+    # at exit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    study = ("b", [8, 64])
+    options = {"n": 10, "reps": 4, "seed": 2, "workers": 2}
+    run_estimation_mc(*study, **options)
+    child = multiprocessing.get_context("fork").Process(
+        target=_study_in_a_process_group, args=(study, options)
+    )
+    child.start()
+    child.join(60)
+    alive = child.is_alive()
+    if alive:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.join()
+    assert not alive and child.exitcode == 0
+
+
+_POOL_LIFETIME = """
+import os, sys
+import nrpca, nrpca.simulation
+assert "multiprocessing" not in sys.modules
+assert "concurrent.futures" not in sys.modules
+import multiprocessing
+os.sched_getaffinity = lambda pid: {0, 1}
+nrpca.simulation.run_estimation_mc("b", [8, 64], n=10, reps=4, seed=2, workers=2)
+print(*(process.pid for process in multiprocessing.active_children()))
+"""
+
+
+def test_the_cached_pool_is_shut_down_at_exit(run_python):
+    # a pooled study leaves its workers running to the end of the
+    # process, which then joins them, quietly
+    proc = run_python(code=_POOL_LIFETIME)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_load_matrix_in_a_daemonic_process(tmp_path, monkeypatch):
