@@ -16,13 +16,8 @@ are the jobs: `_run_study` maps every (scenario, replication) pair
 through `parallel.ordered_map`, the map the CSV loader uses too: at
 most `workers` forked processes, one per usable core and one per job,
 so a count above the core count runs at the core count; and a serial
-map in a daemonic process, which may not start processes. The processes
-are the one pool that `parallel` caches per process and keeps until the
-interpreter exits: a later study of the same kind at the same pool size
-maps onto the workers an earlier one forked, while a study of the other
-kind or a multi-block CSV load forks a new pool in its place. Workers
-see every module as it was when they were forked, so a study imports
-what its replications need, and sets the heap policy, before it maps.
+map in a daemonic process, which may not start processes. The workers
+are forked once and kept; `nrpca.parallel` says when it forks anew.
 First it applies `parallel.keep_freed_memory` to the calling process,
 whose forked workers inherit it: replications reuse freed memory
 instead of faulting it in again. The setting outlives the call and

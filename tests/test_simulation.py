@@ -8,13 +8,19 @@ Carlo output bit for bit.
 """
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import threading
+import time
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -371,10 +377,7 @@ def test_load_matrix_pool_capped_at_block_count(tmp_path, monkeypatch):
     assert loaded[1] == loaded[2] == loaded[8] == values.tobytes()
 
 
-def test_pool_is_forked_once_per_function(tmp_path, monkeypatch):
-    # two studies of one kind map onto one pool; a study of the other
-    # kind and a multi-block load each fork a pool of their own, and
-    # every row is the one a single worker gives
+def _recorded_pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -383,6 +386,32 @@ def test_pool_is_forked_once_per_function(tmp_path, monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_a_load_keeps_no_workers(tmp_path, monkeypatch):
+    # a file is read once, so a multi-block load's workers are gone
+    # before it returns, and before the caller uses the matrix
+    path, values = _three_block_csv(tmp_path)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 200)
+    joined = []
+    concatenate = np.concatenate
+
+    def recording_concatenate(*args, **kwargs):
+        joined.append(multiprocessing.active_children())
+        return concatenate(*args, **kwargs)
+
+    monkeypatch.setattr(dataio.np, "concatenate", recording_concatenate)
+    assert load_matrix(str(path)).values.tobytes() == values.tobytes()
+    assert joined and all(children == [] for children in joined)
+
+
+def test_pool_is_forked_once_per_function(tmp_path, monkeypatch):
+    # two studies of one kind map onto one pool; a study of the other
+    # kind and a multi-block load each fork a pool of their own, and
+    # every row is the one a single worker gives
+    sizes = _recorded_pool_sizes(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     for seed in (2, 3):
         pooled = run_estimation_mc(
@@ -488,6 +517,95 @@ def test_the_cached_pool_is_shut_down_at_exit(run_python):
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGKILL], ids=["SIGINT", "SIGKILL"]
+)
+def test_a_kept_pool_that_lost_a_worker_is_replaced(signum, monkeypatch):
+    # a Ctrl-C or the OOM killer can end a worker while the pool waits
+    # between studies; the next study maps again on a fresh pool
+    sizes = _recorded_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    study = ("b", [8, 64])
+    options = {"n": 10, "reps": 4, "seed": 2, "keep_samples": True}
+    serial = run_estimation_mc(*study, workers=1, **options)
+    run_estimation_mc(*study, workers=2, **options)
+    worker = multiprocessing.active_children()[0]
+    # a worker still sending its last result reports a SIGINT's
+    # KeyboardInterrupt as that job's outcome and lives on
+    for _ in range(100):
+        os.kill(worker.pid, signum)
+        worker.join(0.3)
+        if worker.exitcode is not None:
+            break
+    assert worker.exitcode is not None
+    _assert_same_summary(serial, run_estimation_mc(*study, workers=2, **options))
+    assert sizes == [2, 2]
+
+
+def test_a_pool_forked_in_an_ended_thread_is_replaced(monkeypatch):
+    # on Linux a worker dies with the thread that forked it, so a pool
+    # kept from a thread that has ended is broken, and is replaced
+    sizes = _recorded_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    study = ("b", [8, 64])
+    options = {"n": 10, "reps": 4, "seed": 2, "keep_samples": True}
+    serial = run_estimation_mc(*study, workers=1, **options)
+    thread = threading.Thread(
+        target=run_estimation_mc, args=study, kwargs=dict(options, workers=2)
+    )
+    thread.start()
+    thread.join()
+    _assert_same_summary(serial, run_estimation_mc(*study, workers=2, **options))
+    assert sizes == ([2, 2] if sys.platform.startswith("linux") else [2])
+
+
+def _gone(pid):
+    # a worker whose owner was killed is reaped by whoever adopted it,
+    # which may leave it a zombie for a while
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+_KEPT_POOL_OWNER = """
+import os, time
+import multiprocessing
+import nrpca.simulation
+os.sched_getaffinity = lambda pid: {0, 1}
+nrpca.simulation.run_estimation_mc("b", [8, 64], n=10, reps=4, seed=2, workers=2)
+print(*(process.pid for process in multiprocessing.active_children()), flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
+def test_kept_workers_end_with_an_owner_killed_by_a_signal():
+    # a SIGKILLed owner never shuts its pool down; its workers must not
+    # wait on their call queue forever
+    env = dict(os.environ, PYTHONPATH=str(Path(simulation.__file__).parents[1]))
+    owner = subprocess.Popen(
+        [sys.executable, "-c", _KEPT_POOL_OWNER],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        pids = [int(pid) for pid in owner.stdout.readline().split()]
+    finally:
+        owner.kill()
+        owner.wait()
+        owner.stdout.close()
+    assert len(pids) == 2
+    deadline = time.monotonic() + 30
+    while not all(map(_gone, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in pids if not _gone(pid)]
+    for pid in left:
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    assert left == []
 
 
 def test_load_matrix_in_a_daemonic_process(tmp_path, monkeypatch):
