@@ -22,7 +22,7 @@ The file is parsed in blocks of `_BLOCK_BYTES`, each cut just after a
 line feed, so no line spans two blocks. A file of more than one block
 is parsed by `parallel.ordered_map`, which is asked for one process
 per block and caps that at one per usable core, and the blocks are
-joined in file order, after that map's workers have exited. The result and every error message depend on
+joined in file order. The result and every error message depend on
 neither that count nor the block size; there is no option for either.
 A file with CR-only line endings has no line feed to cut at, so it is
 one block and parses serially. A pipe is copied to a
@@ -310,9 +310,7 @@ def _load(name: str, handle, path: str) -> DataMatrix:
         [True] + [False] * (len(bounds) - 2),
         workers=len(bounds) - 1,
     )
-    # a file is read once: kept workers would hold their heaps through
-    # the join below and whatever the caller does next
-    close_pool()
+    close_pool()  # a file is read once: kept workers would only hold memory
     linenos = list(accumulate((count for count, *_ in parts), initial=1))
     for lineno, (_, fault, _, _) in zip(linenos, parts):
         if fault is not None:

@@ -533,32 +533,45 @@ def test_a_kept_pool_that_lost_a_worker_is_replaced(signum, monkeypatch):
     run_estimation_mc(*study, workers=2, **options)
     worker = multiprocessing.active_children()[0]
     # a worker still sending its last result reports a SIGINT's
-    # KeyboardInterrupt as that job's outcome and lives on
+    # KeyboardInterrupt as that job's outcome and lives on; the pool's
+    # manager thread may reap a dead one before this join does
     for _ in range(100):
-        os.kill(worker.pid, signum)
-        worker.join(0.3)
         if worker.exitcode is not None:
             break
-    assert worker.exitcode is not None
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(worker.pid, signum)
+        worker.join(0.3)
+    else:
+        pytest.fail("the worker outlived its signals")
     _assert_same_summary(serial, run_estimation_mc(*study, workers=2, **options))
     assert sizes == [2, 2]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="prctl is Linux's")
 def test_a_pool_forked_in_an_ended_thread_is_replaced(monkeypatch):
-    # on Linux a worker dies with the thread that forked it, so a pool
-    # kept from a thread that has ended is broken, and is replaced
+    # a worker dies with the thread that forked it, so a pool kept from
+    # a thread that has ended is broken, and is replaced
     sizes = _recorded_pool_sizes(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     study = ("b", [8, 64])
     options = {"n": 10, "reps": 4, "seed": 2, "keep_samples": True}
     serial = run_estimation_mc(*study, workers=1, **options)
-    thread = threading.Thread(
-        target=run_estimation_mc, args=study, kwargs=dict(options, workers=2)
-    )
+    workers = []
+
+    def pooled_study():
+        run_estimation_mc(*study, workers=2, **options)
+        workers.extend(multiprocessing.active_children())
+
+    thread = threading.Thread(target=pooled_study)
     thread.start()
     thread.join()
+    # join returns before the thread itself has ended
+    deadline = time.monotonic() + 30
+    while any(w.exitcode is None for w in workers) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert len(workers) == 2 and all(w.exitcode is not None for w in workers)
     _assert_same_summary(serial, run_estimation_mc(*study, workers=2, **options))
-    assert sizes == ([2, 2] if sys.platform.startswith("linux") else [2])
+    assert sizes == [2, 2]
 
 
 def _gone(pid):
