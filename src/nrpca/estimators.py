@@ -125,13 +125,37 @@ class NrEstimate:
         )
 
 
+def _spectrum(cov: SymMatrix, n: int):
+    """Guarded (lambda_tilde, lambda_hat, trace, u_hat_1) of a dual covariance."""
+    eigenvalues, eigenvectors = sym_eigen(cov)
+    trace_dual = float(eigenvalues.sum())
+    if trace_dual < _GRAM_UNDERFLOW:
+        raise DegenerateSpectrumError(_NO_SPIKE)
+    leading = eigenvalues[: n - 2]
+    divisors = (n - 1) - np.arange(1, n - 1, dtype=np.float64)
+    corrected = leading - (trace_dual - np.cumsum(leading)) / divisors
+    if np.any(corrected < -_CLAMP_REL * trace_dual):
+        raise ValueError(
+            f"corrected eigenvalue {float(corrected.min()):.3e} is negative "
+            "beyond round-off; the dual spectrum is not valid"
+        )
+    lambda_tilde = np.maximum(corrected, 0.0)
+    u1 = eigenvectors[:, 0]
+    # the centered Gram has the ones vector in its null space, so a first
+    # eigenvector mostly along it is the rounding residue of centering
+    # constant rows, not a spike
+    if lambda_tilde[0] <= _CLAMP_REL * trace_dual or u1.sum() ** 2 > n / 2:
+        raise DegenerateSpectrumError(_NO_SPIKE)
+    return lambda_tilde, eigenvalues[: n - 1], trace_dual, u1
+
+
 def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
     """Run the full first-component pipeline on a data matrix.
 
     Validates the input once; then, over row blocks, centers the columns
-    and sums the dual covariance; decomposes it, applies the noise
-    correction, and computes the scores and, with one more blocked
-    matvec pass, the corrected direction.
+    and sums the dual covariance; `_spectrum` decomposes it and applies
+    the noise correction; then it computes the scores and, with one more
+    blocked matvec pass, the corrected direction.
 
     Raises
     ------
@@ -148,41 +172,20 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
         x = DataMatrix(x)
     d, n, values = x.d, x.n, x.values
     starts = range(0, d, _BLOCK_ROWS)
-    cov = None
     # the first block's covariance is the sum's start, so a one-block
     # input gets the bits of one whole product; an overflow in centering
     # or in the sum is named by the checks, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         for start in starts:
             xc = center_columns(values[start : start + _BLOCK_ROWS])
-            part = dual_covariance(xc)
-            if cov is not None:
-                total = cov.values + part.values
-                # the Gram itself; at n >= 3 this also keeps SymMatrix's
-                # total + total.T finite
-                _finite_gram((n - 1) * total)
-                part = SymMatrix(total)
-            cov = part
-    eigenvalues, eigenvectors = sym_eigen(cov)
-    trace_dual = float(eigenvalues.sum())
-    if trace_dual < _GRAM_UNDERFLOW:
-        raise DegenerateSpectrumError(_NO_SPIKE)
-    leading = eigenvalues[: n - 2]
-    divisors = (n - 1) - np.arange(1, n - 1, dtype=np.float64)
-    corrected = leading - (trace_dual - np.cumsum(leading)) / divisors
-    if np.any(corrected < -_CLAMP_REL * trace_dual):
-        raise ValueError(
-            f"corrected eigenvalue {float(corrected.min()):.3e} is negative "
-            "beyond round-off; the dual spectrum is not valid"
-        )
-    lambda_tilde = np.maximum(corrected, 0.0)
+            cov = dual_covariance(xc)
+            total = cov.values if start == 0 else total + cov.values
+        if len(starts) > 1:
+            # the Gram; if finite, at n >= 3 so is SymMatrix's total + total.T
+            _finite_gram((n - 1) * total)
+            cov = SymMatrix(total)
+    lambda_tilde, lambda_hat, trace_dual, u1 = _spectrum(cov, n)
     lt1 = float(lambda_tilde[0])
-    u1 = eigenvectors[:, 0]
-    # the centered Gram has the ones vector in its null space, so a first
-    # eigenvector mostly along it is the rounding residue of centering
-    # constant rows, not a spike
-    if lt1 <= _CLAMP_REL * trace_dual or u1.sum() ** 2 > n / 2:
-        raise DegenerateSpectrumError(_NO_SPIKE)
     scale = (n - 1) * lt1
     h_tilde_1 = np.empty(d)
     # last block first: it is still centered from the first pass
@@ -191,7 +194,6 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
         if start != starts[-1]:
             xc = center_columns(values[rows])
         h_tilde_1[rows] = pc_direction(xc, u1, scale)
-    lambda_hat = eigenvalues[: n - 1]
     return NrEstimate(
         d=d,
         n=n,

@@ -174,36 +174,35 @@ def _check_ci_alpha(alpha: float) -> float:
 def optimal_ab(df: int, alpha: float) -> QuantilePair:
     """Minimum-length chi-square quantile pair at coverage 1 - alpha.
 
-    Minimizes 1/a - 1/b subject to G_df(a) + (1 - G_df(b)) = alpha. With
-    b(a) the upper point at tail mass alpha - G_df(a), the optimum is the
-    root over a of the stationarity condition a^2 g(a) = b^2 g(b) in log
-    form, (df/2 + 1) ln(b/a) = (b - a)/2 (Tate & Klett 1959), found by
-    Brent's method. The result is deterministic for fixed (df, alpha).
+    Minimizes 1/a - 1/b subject to G_df(a) + (1 - G_df(b)) = alpha, with
+    a the lower point at alpha - q and b the upper point at q, so that no
+    tail is a difference. Brent's method finds the upper-tail mass q at the
+    root of the stationarity condition in log form, (df/2 + 1) ln(b/a) =
+    (b - a)/2 (Tate & Klett 1959); the result is deterministic.
     """
     df = _check_count("df", df, 2)
     alpha = _check_ci_alpha(alpha)
 
     from scipy.optimize import brentq  # imported here to keep startup cheap
 
-    def b_of(a: float) -> float:
-        return chi2_upper_point(df, alpha - chi2_cdf(df, a))
+    def ends(q: float) -> tuple[float, float]:
+        return chi2_quantile(df, alpha - q), chi2_upper_point(df, q)
 
-    def stationarity(a: float) -> float:
-        b = b_of(a)
+    def stationarity(q: float) -> float:
+        a, b = ends(q)
         return (0.5 * df + 1.0) * math.log(b / a) - 0.5 * (b - a)
 
-    # a falls to ~1e-6 for small df and alpha, where brentq's default
-    # absolute xtol (2e-12) would stop far from the root; converge on
-    # its relative tolerance instead, which a few pairs, such as
-    # (128, 0.999988), reach only after brentq's default 100 steps
-    a = brentq(
+    # q falls to ~1e-15 (df = 2, alpha = 1e-6), so brentq converges on its
+    # relative tolerance, not its absolute xtol; the bracket's ends put a
+    # just below the lower alpha point and 1e-4 alpha in the lower tail
+    q = brentq(
         stationarity,
-        chi2_quantile(df, 1e-4 * alpha),
-        chi2_quantile(df, alpha) * (1.0 - 1e-12),
+        alpha - chi2_cdf(df, chi2_quantile(df, alpha) * (1.0 - 1e-12)),
+        alpha * (1.0 - 1e-4),
         xtol=1e-300,
         maxiter=200,
     )
-    return QuantilePair(a, b_of(a))
+    return QuantilePair(*ends(q))
 
 
 def contribution_ci(

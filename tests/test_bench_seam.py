@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from nrpca import inference
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
@@ -25,6 +27,8 @@ def test_layer_probe_fires_every_traced_span(monkeypatch, tmp_path):
     rng = np.random.default_rng(12)
     csv = tmp_path / "probe.csv"
     workloads.write_expression_csv(csv, workloads.make_expression_matrix(rng, 200, 12))
+    # F bounds that earlier tests cached would not reach f_upper_point
+    inference._two_sided_bounds.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:

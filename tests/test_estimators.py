@@ -5,6 +5,7 @@ Gram matrix, reference eigensolver, explicit correction loop) so any
 disagreement points at the pipeline, not the formulas.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -16,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from nrpca import estimators
 from nrpca.estimators import DegenerateSpectrumError, nr_estimate
-from nrpca.linalg import DataMatrix
+from nrpca.linalg import DataMatrix, SymMatrix, center_columns, dual_covariance
 
 # the default row block, at which every matrix below is one block, and
 # one that splits them into several, most with a short last block
@@ -287,6 +288,9 @@ def test_estimate_holds_one_centered_block_not_a_centered_copy():
 # summing the Gram over blocks reorders its additions, and a one-row
 # block's matvec need not round as the whole gemv does
 BLOCKED_TOL = 1e-12
+# sha256 of every field of the four-block estimate below, frozen when
+# each partial sum of the Gram was checked and wrapped in a SymMatrix
+FOUR_BLOCK_DIGEST = "4bec415443f8c46c9dd2cc48366423c3da3aec52002ca85acadf63e5bb2f18bc"
 
 
 def test_a_one_row_last_block_matches_the_whole_array():
@@ -297,12 +301,36 @@ def test_a_one_row_last_block_matches_the_whole_array():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimators, "_BLOCK_ROWS", d)
         want = nr_estimate(x)
+    digest = hashlib.sha256()
     for name in (
         "lambda_tilde", "lambda_hat", "kappa_tilde", "trace_dual",
         "h_tilde_1", "scores_tilde", "scores_hat",
     ):
         g, w = np.asarray(getattr(got, name)), np.asarray(getattr(want, name))
         assert np.max(np.abs(g - w)) <= BLOCKED_TOL * np.max(np.abs(w)), name
+        digest.update(g.tobytes())
+    assert digest.hexdigest() == FOUR_BLOCK_DIGEST
+
+
+def test_spectrum_of_a_gram_summed_elsewhere_gives_the_estimate():
+    # the seam a sampler or a diagnostic feeds its own Gram through
+    n = 9
+    x = np.random.default_rng(14).standard_normal((40, n))
+    x *= np.linspace(6.0, 1.0, 40)[:, None]
+    for rows in _at_each_block_size():
+        total = None
+        for start in range(0, len(x), rows):
+            part = dual_covariance(center_columns(x[start : start + rows])).values
+            total = part if total is None else total + part
+        lambda_tilde, lambda_hat, trace, u1 = estimators._spectrum(SymMatrix(total), n)
+        est = nr_estimate(x)
+        assert np.array_equal(lambda_tilde, est.lambda_tilde)
+        assert np.array_equal(lambda_hat, est.lambda_hat)
+        assert trace == est.trace_dual
+        scale = (n - 1) * float(lambda_tilde[0])
+        assert np.array_equal(math.sqrt(scale) * u1, est.scores_tilde)
+        scale = (n - 1) * float(lambda_hat[0])
+        assert np.array_equal(math.sqrt(scale) * u1, est.scores_hat)
 
 
 def test_gram_overflow_names_itself(monkeypatch):

@@ -9,6 +9,7 @@ same independent routes.
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +135,17 @@ def test_optimal_ab_converges_where_brent_takes_over_100_steps():
         # of the condition is flat: check the log form instead
         lhs = (0.5 * df + 1.0) * math.log(pair.b / pair.a)
         assert lhs == pytest.approx(0.5 * (pair.b - pair.a), rel=1e-9)
+
+
+def test_benchmark_census_of_small_alphas_passes(monkeypatch, tmp_path):
+    # every interval for n in [3, 60] and every F bound on a grid, at the
+    # accepted alphas from 5e-4 down to 1e-6, against the benchmark's
+    # oracles; a b formed from alpha - G(a) failed at df = 2 below 1e-5
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    checks = workloads.InferenceQueries(1, tmp_path).run_checks()
+    assert checks["failing_keys"] == [], checks["failures"]
 
 
 def test_quantile_pair_requires_order():
