@@ -33,7 +33,7 @@ and any order of the d values.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, make_dataclass, replace
 from functools import cache, lru_cache, partial
 
 import numpy as np
@@ -276,56 +276,48 @@ def gen_two_sample(
     )
 
 
-@dataclass(frozen=True)
-class EstimationRow:
+_ESTIMATION_METRICS = (
+    "lambda_tilde",
+    "lambda_hat",
+    "h_tilde",
+    "h_hat",
+    "mse_tilde",
+    "mse_hat",
+)
+_TESTS = ("f1", "f2", "f3")
+
+
+def _row_class(name: str, doc: str, keys: list, columns: list[str]) -> type:
+    """A frozen dataclass of the typed `keys`, then one float per column."""
+    fields = [*keys, *((column, float) for column in columns)]
+    namespace = {"__doc__": doc, "__module__": __name__}
+    return make_dataclass(name, fields, frozen=True, namespace=namespace)
+
+
+EstimationRow = _row_class(
+    "EstimationRow",
     """Per-d summary of the single-sample study. Ratios are relative to
-    the true first eigenvalue; inner products use the true direction."""
+    the true first eigenvalue; inner products use the true direction.
 
-    model: str
-    d: int
-    n: int
-    reps: int
-    lambda_tilde_mean: float
-    lambda_tilde_var: float
-    lambda_tilde_se: float
-    lambda_hat_mean: float
-    lambda_hat_var: float
-    lambda_hat_se: float
-    h_tilde_mean: float
-    h_tilde_var: float
-    h_tilde_se: float
-    h_hat_mean: float
-    h_hat_var: float
-    h_hat_se: float
-    mse_tilde_mean: float
-    mse_tilde_var: float
-    mse_tilde_se: float
-    mse_hat_mean: float
-    mse_hat_var: float
-    mse_hat_se: float
+    Columns: model, d, n, reps, lambda_tilde_mean, lambda_tilde_var,
+    lambda_tilde_se, lambda_hat_mean, lambda_hat_var, lambda_hat_se,
+    h_tilde_mean, h_tilde_var, h_tilde_se, h_hat_mean, h_hat_var, h_hat_se,
+    mse_tilde_mean, mse_tilde_var, mse_tilde_se, mse_hat_mean, mse_hat_var,
+    mse_hat_se.""",
+    [("model", str), ("d", int), ("n", int), ("reps", int)],
+    [f"{m}_{s}" for m in _ESTIMATION_METRICS for s in ("mean", "var", "se")],
+)
 
+TestRow = _row_class(
+    "TestRow",
+    """Per-d empirical size and power of the three tests.
 
-@dataclass(frozen=True)
-class TestRow:
-    """Per-d empirical size and power of the three tests."""
-
-    d: int
-    n1: int
-    n2: int
-    alpha: float
-    reps: int
-    size_f1: float
-    size_f2: float
-    size_f3: float
-    size_se_f1: float
-    size_se_f2: float
-    size_se_f3: float
-    power_f1: float
-    power_f2: float
-    power_f3: float
-    power_se_f1: float
-    power_se_f2: float
-    power_se_f3: float
+    Columns: d, n1, n2, alpha, reps, size_f1, size_f2, size_f3,
+    size_se_f1, size_se_f2, size_se_f3, power_f1, power_f2, power_f3,
+    power_se_f1, power_se_f2, power_se_f3.""",
+    [("d", int), ("n1", int), ("n2", int), ("alpha", float), ("reps", int)],
+    [f"{s}_{t}" for s in ("size", "size_se", "power", "power_se") for t in _TESTS],
+)
 
 
 @dataclass(frozen=True)
@@ -340,16 +332,6 @@ class McSummary:
 
     def as_records(self) -> list[dict]:
         return [asdict(row) for row in self.rows]
-
-
-_ESTIMATION_METRICS = (
-    "lambda_tilde",
-    "lambda_hat",
-    "h_tilde",
-    "h_hat",
-    "mse_tilde",
-    "mse_hat",
-)
 
 
 def _estimation_rep(scenario: SpikeScenario, rep: int) -> tuple[float, ...]:
@@ -446,13 +428,12 @@ def run_estimation_mc(
     scenarios = [SpikeScenario(model, d, n, seed) for d in _d_list(d_values)]
 
     def summarize(scenario, by_rep):
-        fields: dict = {"model": model, "d": scenario.d, "n": n, "reps": reps}
-        for name, values in zip(_ESTIMATION_METRICS, by_rep.T):
+        columns: list[float] = []
+        for values in by_rep.T:
             var = float(np.var(values, ddof=1))
-            fields[f"{name}_mean"] = float(np.mean(values))
-            fields[f"{name}_var"] = var
-            fields[f"{name}_se"] = math.sqrt(var / reps)
-        return EstimationRow(**fields), dict(zip(_ESTIMATION_METRICS, by_rep.T))
+            columns += (float(np.mean(values)), var, math.sqrt(var / reps))
+        row = EstimationRow(model, scenario.d, n, reps, *columns)
+        return row, dict(zip(_ESTIMATION_METRICS, by_rep.T))
 
     return _run_study(
         "estimation", _estimation_rep, scenarios, reps, workers, keep_samples,
@@ -491,19 +472,17 @@ def run_test_mc(
 
     def summarize(scenario, by_rep):
         # axes: replication, arm (null, alternative), statistic/rejection, test
-        arms = by_rep.reshape(half, 2, 2, 3)
-        fields: dict = {"d": scenario.d, "n1": n1, "n2": n2, "alpha": alpha}
-        named = {}
-        for j, name in enumerate(("f1", "f2", "f3")):
-            size = float(np.mean(arms[:, 0, 1, j]))
-            power = float(np.mean(arms[:, 1, 1, j]))
-            fields[f"size_{name}"] = size
-            fields[f"power_{name}"] = power
-            fields[f"size_se_{name}"] = math.sqrt(size * (1.0 - size) / half)
-            fields[f"power_se_{name}"] = math.sqrt(power * (1.0 - power) / half)
-            named[f"{name}_null"] = arms[:, 0, 0, j]
-            named[f"{name}_alt"] = arms[:, 1, 0, j]
-        return TestRow(reps=reps, **fields), named
+        arms = by_rep.reshape(half, 2, 2, len(_TESTS))
+        columns: list[float] = []
+        for arm in (0, 1):  # size, then power
+            rates = [float(np.mean(arms[:, arm, 1, j])) for j in range(len(_TESTS))]
+            columns += rates + [math.sqrt(p * (1.0 - p) / half) for p in rates]
+        named = {
+            f"{name}_{label}": arms[:, arm, 0, j]
+            for j, name in enumerate(_TESTS)
+            for arm, label in enumerate(("null", "alt"))
+        }
+        return TestRow(scenario.d, n1, n2, alpha, reps, *columns), named
 
     return _run_study(
         "tests", partial(_test_rep, alpha), scenarios, half, workers,

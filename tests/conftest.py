@@ -44,25 +44,37 @@ def acceptance_seed() -> int:
     return ACCEPTANCE_SEED
 
 
+# a study's rows and samples are the same bytes at every worker count
+# (criterion 8 and the frozen digests check this), so the session runs
+# use every usable core
+_CORES = len(os.sched_getaffinity(0))
+
+
 @pytest.fixture(scope="session")
 def est_a_2048():
-    # ~7 s: 2000 replications of the geometric-decay scenario at d=2048
+    # ~2 s at one worker: 2000 replications of the geometric-decay
+    # scenario at d=2048
     return run_estimation_mc(
-        "a", [2048], n=10, reps=2000, seed=ACCEPTANCE_SEED, keep_samples=True
+        "a", [2048], n=10, reps=2000, seed=ACCEPTANCE_SEED, workers=_CORES,
+        keep_samples=True,
     )
 
 
 @pytest.fixture(scope="session")
 def est_b_2048():
     # same budget for the slow-decay scenario; only the row summary is needed
-    return run_estimation_mc("b", [2048], n=10, reps=2000, seed=ACCEPTANCE_SEED)
+    return run_estimation_mc(
+        "b", [2048], n=10, reps=2000, seed=ACCEPTANCE_SEED, workers=_CORES
+    )
 
 
 @pytest.fixture(scope="session")
 def tests_2048():
-    # ~80 s: 2000 null + 2000 alternative two-sample draws at d=2048
+    # ~14 s at one worker, half that at two: 2000 null + 2000 alternative
+    # two-sample draws at d=2048
     return run_test_mc(
-        [2048], n1=10, n2=20, reps=4000, seed=ACCEPTANCE_SEED, keep_samples=True
+        [2048], n1=10, n2=20, reps=4000, seed=ACCEPTANCE_SEED, workers=_CORES,
+        keep_samples=True,
     )
 
 

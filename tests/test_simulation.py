@@ -9,16 +9,19 @@ Carlo output bit for bit.
 
 import concurrent.futures
 import contextlib
+import dataclasses
 import hashlib
 import json
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
 import time
+import typing
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -782,6 +785,44 @@ def test_run_test_mc_worker_count_invariant():
             keep_samples=True,
         )
         _assert_same_summary(a, b)
+
+
+def test_row_columns_are_pinned_and_rows_pickle():
+    # the columns of `as_records()` and of `simulate`'s CSV, in order
+    estimation = [("model", str), ("d", int), ("n", int), ("reps", int)] + [
+        (name, float)
+        for name in (
+            "lambda_tilde_mean", "lambda_tilde_var", "lambda_tilde_se",
+            "lambda_hat_mean", "lambda_hat_var", "lambda_hat_se",
+            "h_tilde_mean", "h_tilde_var", "h_tilde_se",
+            "h_hat_mean", "h_hat_var", "h_hat_se",
+            "mse_tilde_mean", "mse_tilde_var", "mse_tilde_se",
+            "mse_hat_mean", "mse_hat_var", "mse_hat_se",
+        )
+    ]
+    tests = [("d", int), ("n1", int), ("n2", int), ("alpha", float), ("reps", int)] + [
+        (name, float)
+        for name in (
+            "size_f1", "size_f2", "size_f3",
+            "size_se_f1", "size_se_f2", "size_se_f3",
+            "power_f1", "power_f2", "power_f3",
+            "power_se_f1", "power_se_f2", "power_se_f3",
+        )
+    ]
+    studies = (
+        (simulation.EstimationRow, estimation, run_estimation_mc("a", [8], reps=2)),
+        (simulation.TestRow, tests, run_test_mc([8], n1=5, n2=6, reps=2)),
+    )
+    for cls, want, summary in studies:
+        hints = typing.get_type_hints(cls)
+        assert [(f.name, hints[f.name]) for f in dataclasses.fields(cls)] == want
+        assert cls.__module__ == "nrpca.simulation"
+        (row,) = summary.rows
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.d = 9
+        copy = pickle.loads(pickle.dumps(row))
+        assert type(copy) is cls
+        assert repr(dataclasses.asdict(copy)) == repr(dataclasses.asdict(row))
 
 
 def _digest(*arrays) -> str:
