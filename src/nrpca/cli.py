@@ -143,20 +143,26 @@ def _cmd_test(args: argparse.Namespace) -> dict:
     return record
 
 
+# each study's own flags: the other study refuses them
+_STUDY_FLAGS = {"pc": ("model", "n"), "tests": ("n1", "n2", "alpha")}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> dict:
+    other = "tests" if args.study == "pc" else "pc"
+    for flag in _STUDY_FLAGS[other]:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} belongs to --study {other}, not {args.study}")
+    # a flag not given takes the library's default, and --model is "a"
+    flags = (*_STUDY_FLAGS[args.study], "reps", "seed", "workers")
+    given = {flag: getattr(args, flag) for flag in flags}
+    options = {flag: value for flag, value in given.items() if value is not None}
     # the tests study alone loads scipy.signal
     from .simulation import run_estimation_mc, run_test_mc
 
-    # the library keeps the default replication counts
-    common = {"seed": args.seed, "workers": args.workers}
-    if args.reps is not None:
-        common["reps"] = args.reps
     if args.study == "pc":
-        summary = run_estimation_mc(args.model, args.d_values, n=args.n, **common)
+        summary = run_estimation_mc(options.pop("model", "a"), args.d_values, **options)
     else:
-        summary = run_test_mc(
-            args.d_values, n1=args.n1, n2=args.n2, alpha=args.alpha, **common
-        )
+        summary = run_test_mc(args.d_values, **options)
     return {"study": summary.study, "seed": summary.seed, "rows": summary.as_records()}
 
 
@@ -244,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run the Monte Carlo harness")
     p_sim.add_argument("--study", choices=("pc", "tests"), default="pc")
-    p_sim.add_argument("--model", choices=("a", "b"), default="a")
+    p_sim.add_argument("--model", choices=("a", "b"), help="pc only (default a)")
     p_sim.add_argument(
         "--d",
         dest="d_values",
@@ -252,14 +258,14 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated dimensions, e.g. 8,64,512",
     )
-    p_sim.add_argument("--n", type=int, default=10)
-    p_sim.add_argument("--n1", type=int, default=10)
-    p_sim.add_argument("--n2", type=int, default=20)
+    p_sim.add_argument("--n", type=int, help="pc only (default 10)")
+    p_sim.add_argument("--n1", type=int, help="tests only (default 10)")
+    p_sim.add_argument("--n2", type=int, help="tests only (default 20)")
     p_sim.add_argument(
         "--R", "--reps", dest="reps", type=int, default=None,
         help="replications (default 2000 for pc, 4000 for tests)",
     )
-    p_sim.add_argument("--alpha", type=float, default=0.05)
+    p_sim.add_argument("--alpha", type=float, help="tests only (default 0.05)")
     p_sim.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sim.add_argument("--workers", type=int, default=1, help="process count")
     _add_output_flags(p_sim, "csv")

@@ -80,22 +80,20 @@ if hasattr(os, "register_at_fork"):
 
 
 @functools.cache
-def _mallopt():
-    """The C library's `mallopt`, or None where it has none."""
+def _libc(name: str):
+    """The C library's function `name`, or None where it has none. Both
+    callers pass ints and ignore an int result, ctypes' defaults."""
     try:
         import ctypes  # only here: `import nrpca` stays numpy-only
 
-        mallopt = ctypes.CDLL(None).mallopt
+        return getattr(ctypes.CDLL(None), name)
     except (AttributeError, ImportError, OSError, TypeError):
         return None
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return mallopt
 
 
 def keep_freed_memory() -> None:
     """Apply the heap policy above to this process and its later forks."""
-    mallopt = _mallopt()
+    mallopt = _libc("mallopt")
     if mallopt is not None:
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
@@ -167,12 +165,10 @@ def _end_with(owner: int) -> None:
     Linux's `prctl(PR_SET_PDEATHSIG)` is available: an owner killed by a
     signal never stops its workers, and they would wait on their call
     queue forever, since each holds a write end of that queue's pipe."""
-    try:
-        import ctypes
-        import signal
+    import signal
 
-        prctl = ctypes.CDLL(None).prctl
-    except (AttributeError, ImportError, OSError, TypeError):
+    prctl = _libc("prctl")
+    if prctl is None:
         return
     prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL))
     if os.getppid() != owner:  # the owner ended before the prctl

@@ -142,15 +142,11 @@ def _check_choice(name: str, value, choices: tuple[str, ...]) -> None:
         raise ValueError(f"{name} must be {listed}, got {value!r}")
 
 
-def sample_std_normal(rng: np.random.Generator, size=None):
-    """Standard normal draws by the polar method.
-
-    Returns a scalar when size is None, a 1-d array for an integer size,
-    and an array of that shape for a tuple (filled in row-major order,
-    so the stream layout is the flat draw sequence).
+def sample_std_normal(rng: np.random.Generator, size) -> np.ndarray:
+    """Standard normal draws by the polar method, as an array of shape
+    `size`, an integer or a tuple, filled in row-major order, so the
+    stream layout is the flat draw sequence. `size=1` gives one draw.
     """
-    if size is None:
-        return float(_polar_normals(rng, 1)[0])
     dims = size if isinstance(size, tuple) else (size,)
     shape = [_check_count("size", dim) for dim in dims]
     return _polar_normals(rng, math.prod(shape)).reshape(shape)
@@ -160,15 +156,14 @@ def sample_std_normal(rng: np.random.Generator, size=None):
 _CHI2_BLOCK = 4_000_000
 
 
-def sample_chi2(rng: np.random.Generator, df: int, size: int | None = None):
-    """Chi-square draws as sums of df squared standard normals.
+def sample_chi2(rng: np.random.Generator, df: int, size: int) -> np.ndarray:
+    """`size` chi-square draws, each a sum of df squared standard normals.
 
     df must be a positive integer (the only case the harness needs);
     moments are exact by construction.
     """
     df = _check_count("df", df, 1)
-    scalar = size is None
-    count = 1 if scalar else _check_count("size", size)
+    count = _check_count("size", size)
     out = np.empty(count, dtype=np.float64)
     block = max(1, _CHI2_BLOCK // df)
     done = 0
@@ -177,27 +172,24 @@ def sample_chi2(rng: np.random.Generator, df: int, size: int | None = None):
         z = _polar_normals(rng, df * take).reshape(df, take)
         out[done : done + take] = np.einsum("ij,ij->j", z, z)
         done += take
-    return float(out[0]) if scalar else out
+    return out
 
 
 def sample_scaled_t_vector(
-    rng: np.random.Generator, dim: int, df: int, size: int | None = None
-):
-    """Multivariate t draws scaled to identity covariance.
+    rng: np.random.Generator, dim: int, df: int, size: int
+) -> np.ndarray:
+    """`size` multivariate t draws scaled to identity covariance, as the
+    columns of a (dim, size) array.
 
     Each vector is g * sqrt(df/W) * sqrt((df-2)/df) with g a dim-vector of
     standard normals and one chi-square(df) mixing variable W per vector,
     so the covariance is exactly the identity. Draw order per call: all
     normals first, then the mixing chi-squares.
-
-    Returns shape (dim,) when size is None, else (dim, size).
     """
     dim = _check_count("dim", dim, 1)
     df = _check_count("df", df, 3)  # df >= 3 for a finite covariance
-    scalar = size is None
-    count = 1 if scalar else _check_count("size", size)
+    count = _check_count("size", size)
     g = _polar_normals(rng, dim * count).reshape(dim, count)
     w = sample_chi2(rng, df, count)
     scale = np.sqrt(df / w) * math.sqrt((df - 2.0) / df)
-    draws = g * scale[np.newaxis, :]
-    return draws[:, 0] if scalar else draws
+    return g * scale[np.newaxis, :]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from nrpca import cli, dataio, parallel
+from nrpca import cli, dataio, parallel, simulation
 from nrpca.cli import DEFAULT_SEED, build_parser, main
 from nrpca.dataio import load_matrix, save_matrix
 from nrpca.inference import contribution_ci
@@ -498,6 +498,42 @@ def test_simulate_refuses_alpha_zero(capsys):
     assert err == "error: test alpha must lie in (0, 1/2), got 0.0\n"
 
 
+@pytest.mark.parametrize(
+    "study,flag,value,owner",
+    [
+        ("tests", "--model", "b", "pc"),
+        ("tests", "--n", "7", "pc"),
+        ("pc", "--n1", "5", "tests"),
+        ("pc", "--n2", "5", "tests"),
+        ("pc", "--alpha", "0.3", "tests"),
+    ],
+)
+def test_simulate_refuses_the_other_studys_flag(
+    capsys, monkeypatch, study, flag, value, owner
+):
+    # named, not dropped, and before any replication starts
+    def no_replications(*args, **kwargs):
+        raise AssertionError("a replication started before the checks")
+
+    monkeypatch.setattr(simulation, "ordered_map", no_replications)
+    argv = ["simulate", "--study", study, "--d", "8", "--R", "4", flag, value]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} belongs to --study {owner}, not {study}\n"
+
+
+def test_simulate_defaults_are_each_studys_own(capsys):
+    # a study's flags left out take the library's defaults, --model a
+    tiny = ["simulate", "--d", "8", "--R", "4", "--seed", "3"]
+    for study, explicit in (
+        ("pc", ["--model", "a", "--n", "10"]),
+        ("tests", ["--n1", "10", "--n2", "20", "--alpha", "0.05"]),
+    ):
+        default = _run(capsys, tiny + ["--study", study])
+        assert default[0] == 0, default[2]
+        assert default == _run(capsys, tiny + ["--study", study] + explicit)
+
+
 def test_a_study_sets_the_heap_policy_once_and_the_loader_never(
     capsys, monkeypatch, tmp_path
 ):
@@ -511,7 +547,10 @@ def test_a_study_sets_the_heap_policy_once_and_the_loader_never(
         with open(log, "a") as handle:
             handle.write(f"{os.getpid()} {param} {value}\n")
 
-    monkeypatch.setattr(parallel, "_mallopt", lambda: mallopt)
+    libc = parallel._libc
+    monkeypatch.setattr(
+        parallel, "_libc", lambda name: mallopt if name == "mallopt" else libc(name)
+    )
     once = [
         f"{os.getpid()} {parallel._M_MMAP_THRESHOLD} {parallel._MMAP_THRESHOLD}",
         f"{os.getpid()} {parallel._M_TRIM_THRESHOLD} {parallel._TRIM_THRESHOLD}",

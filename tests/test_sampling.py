@@ -84,10 +84,12 @@ def test_normal_moments():
     assert abs(draws.var(ddof=1) - 1.0) <= 0.01
 
 
-def test_normal_scalar_and_shape_modes():
+def test_normal_size_is_required_and_sets_the_shape():
     rng = make_stream(9)
-    single = sample_std_normal(rng)
-    assert isinstance(single, float)
+    with pytest.raises(TypeError):
+        sample_std_normal(rng)
+    single = sample_std_normal(rng, 1)
+    assert single.shape == (1,)
     arr = sample_std_normal(rng, 7)
     assert arr.shape == (7,)
     grid = sample_std_normal(rng, (3, 4))
@@ -192,8 +194,12 @@ def test_scaled_t_requires_df_at_least_3():
 
 
 def test_scaled_t_single_vector_shape():
-    vec = sample_scaled_t_vector(make_stream(6), 3, 10)
-    assert vec.shape == (3,)
+    vec = sample_scaled_t_vector(make_stream(6), 3, 10, 1)
+    assert vec.shape == (3, 1)
+    with pytest.raises(TypeError):
+        sample_scaled_t_vector(make_stream(6), 3, 10)
+    with pytest.raises(TypeError):
+        sample_chi2(make_stream(6), 3)
 
 
 def _digest(*arrays) -> str:
@@ -222,16 +228,16 @@ def test_normal_stream_is_frozen(count):
 
 
 def test_chi2_and_scaled_t_streams_are_frozen():
-    assert _digest(sample_std_normal(make_stream(5))) == (
+    assert _digest(sample_std_normal(make_stream(5), 1)) == (
         "1c86640be45b99e6d7283058661295269f2a8137c37c251f3436e1ecfc88fe71"
     )
-    chi2 = (sample_chi2(make_stream(11), 4, 1000), sample_chi2(make_stream(12), 1))
+    chi2 = (sample_chi2(make_stream(11), 4, 1000), sample_chi2(make_stream(12), 1, 1))
     assert _digest(*chi2) == (
         "6e8c8c2ce032a3a498c3f1800e90ea504b1e6d1015efe2de88bc8a500b39218a"
     )
     t = (
         sample_scaled_t_vector(make_stream(13), 31, 10, 10),
-        sample_scaled_t_vector(make_stream(14), 5, 3),
+        sample_scaled_t_vector(make_stream(14), 5, 3, 1),
     )
     assert _digest(*t) == (
         "d75e3a2ed2b1b9f27511339785befeeb9dc4cae4bce3804599a62b74d1d0d839"

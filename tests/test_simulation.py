@@ -122,7 +122,9 @@ def test_gen_spiked_truth_fields():
     sample = gen_spiked(SpikeScenario(model="a", d=16, n=10, seed=42), rng)
     assert sample.x.values.shape == (16, 10)
     assert sample.lambda1 == 16.0
-    assert np.array_equal(sample.h1, np.eye(16)[0])
+    # the true direction is the first axis, so the sample holds no vector of it
+    fields = [field.name for field in dataclasses.fields(sample)]
+    assert fields == ["x", "lambda1", "true_scores"]
     # the first row is the scaled first innovation row, which is exactly
     # the true score vector
     assert np.array_equal(sample.true_scores, sample.x.values[0])
@@ -185,18 +187,20 @@ def test_gen_ar1_matches_explicit_recursion():
 
 def test_gen_ar1_single_vector_shape():
     rng = make_stream(5, 2)
-    out = gen_ar1(10, 0.3, 1.0, rng)
-    assert out.shape == (10,)
+    out = gen_ar1(10, 0.3, 1.0, rng, 1)
+    assert out.shape == (10, 1)
+    with pytest.raises(TypeError, match="^size must be an integer"):
+        gen_ar1(10, 0.3, 1.0, rng, None)
     with pytest.raises(ValueError):
-        gen_ar1(0, 0.3, 1.0, rng)
+        gen_ar1(0, 0.3, 1.0, rng, 1)
     with pytest.raises(ValueError):
-        gen_ar1(5, 1.0, 1.0, rng)
+        gen_ar1(5, 1.0, 1.0, rng, 1)
     with pytest.raises(ValueError):
-        gen_ar1(5, 0.3, 0.0, rng)
+        gen_ar1(5, 0.3, 0.0, rng, 1)
     for scale in (math.nan, math.inf):
         # nan used to give all-nan data, and inf [inf, nan, ...]
         with pytest.raises(ValueError, match="^scale must be positive and finite"):
-            gen_ar1(5, 0.3, scale, rng)
+            gen_ar1(5, 0.3, scale, rng, 1)
 
 
 def test_gen_ar1_stationary_moments():
@@ -702,7 +706,7 @@ def test_simulation_counts_and_seeds_must_be_integers(monkeypatch):
         ("d_values", lambda: run_estimation_mc("b", [8.0], reps=2)),
         ("seed", lambda: run_estimation_mc("b", [8], reps=2, seed=1.7)),
         ("seed", lambda: run_test_mc([8], reps=2, seed=2.0)),
-        ("d", lambda: gen_ar1(8.9, 0.3, 1.0, rng)),
+        ("d", lambda: gen_ar1(8.9, 0.3, 1.0, rng, 1)),
         ("size", lambda: gen_ar1(8, 0.3, 1.0, rng, size=2.7)),
         ("d", lambda: spike_eigenvalues("a", 8.9)),
         ("d", lambda: SpikeScenario(model="a", d=True, n=10, seed=0)),
@@ -843,7 +847,8 @@ def _digest(*arrays) -> str:
 )
 def test_gen_spiked_is_frozen(model, d, expected):
     draw = gen_spiked(SpikeScenario(model=model, d=d, n=10, seed=0), make_stream(9, d))
-    assert _digest(draw.x.values, draw.true_scores, draw.h1, draw.lambda1) == expected
+    # the frozen digest includes the true direction, the first axis
+    assert _digest(draw.x.values, draw.true_scores, np.eye(d)[0], draw.lambda1) == expected
 
 
 @pytest.mark.parametrize(
@@ -938,7 +943,9 @@ print(max(summary.rows))
 """
 
 
-@pytest.mark.skipif(parallel._mallopt() is None, reason="no mallopt in this C library")
+@pytest.mark.skipif(
+    parallel._libc("mallopt") is None, reason="no mallopt in this C library"
+)
 @pytest.mark.parametrize("workers", [1, 2])
 def test_studies_keep_their_freed_memory(run_python, workers):
     # without the heap policy each replication gives its arrays back to
@@ -956,12 +963,12 @@ def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
     import ctypes
 
     monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
-    parallel._mallopt.cache_clear()
+    parallel._libc.cache_clear()
     try:
-        assert parallel._mallopt() is None
+        assert parallel._libc("mallopt") is None
         parallel.keep_freed_memory()
     finally:
-        parallel._mallopt.cache_clear()
+        parallel._libc.cache_clear()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
