@@ -102,6 +102,9 @@ def _cmd_ci(args: argparse.Namespace) -> dict:
             raise ValueError(
                 "ci needs either --input or all of --lambda-tilde, --kappa and --n"
             )
+        for flag in ("standardize", "transpose"):
+            if getattr(args, flag):
+                raise ValueError(f"--{flag} applies to --input, not to summary numbers")
         lt1, kappa, n = summary
     elif summary != (None, None, None):
         raise ValueError("ci takes --input or summary numbers, not both")

@@ -45,7 +45,6 @@ every float bit for bit.
 from __future__ import annotations
 
 import codecs
-import csv
 import io
 import math
 import os
@@ -372,10 +371,9 @@ def save_matrix(path: str, matrix: DataMatrix | np.ndarray) -> None:
     It is checked as a `DataMatrix` first (2-D, finite, at least 3
     columns), so `load_matrix` reads every file written here back."""
     matrix = matrix if isinstance(matrix, DataMatrix) else DataMatrix(matrix)
+    # newline="": the CRLF line ends are written as they are on any platform
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in matrix.values:
-            writer.writerow([f"{v:.17g}" for v in row])
+        np.savetxt(handle, matrix.values, fmt="%.17g", delimiter=",", newline="\r\n")
 
 
 def standardize_rows(matrix: DataMatrix | np.ndarray) -> DataMatrix:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, make_dataclass, replace
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -58,7 +58,6 @@ __all__ = [
     "TwoSampleScenario",
     "SpikedSample",
     "TwoSampleDraw",
-    "TwoSampleTruth",
     "EstimationRow",
     "TestRow",
     "McSummary",
@@ -96,7 +95,10 @@ class SpikeScenario:
 class TwoSampleScenario:
     """Two Gaussian samples with block covariances; 'H0' makes them
     equal, 'Ha' scales the spike by 3 and 1.5, rotates it, and scales
-    the AR(1) tail by 1.5."""
+    the AR(1) tail by 1.5. Sample 2 against sample 1, the first
+    eigenvalue ratio, the inner product of the first directions and the
+    tail-mass ratio are 1, 1 and 1 under 'H0', and 3, 1/3 and 1.5 under
+    'Ha'."""
 
     hypothesis: str
     d: int
@@ -123,32 +125,9 @@ class SpikedSample:
 
 
 @dataclass(frozen=True)
-class TwoSampleTruth:
-    """Population contrasts of sample 2 against sample 1."""
-
-    lambda_ratio: float
-    h_inner: float
-    kappa_ratio: float
-
-
-@dataclass(frozen=True)
 class TwoSampleDraw:
     x1: DataMatrix
     x2: DataMatrix
-    truth: TwoSampleTruth
-
-
-@cache
-def _lfilter():
-    """`scipy.signal.lfilter`, imported on first use: only the AR(1) tail
-    of the tests study needs it. The import took 0.85-0.93 s and raised
-    the peak RSS by 74 MB right after `import nrpca.simulation`, as the
-    tests study runs it, and 0.40-0.54 s and 27 MB once `scipy.special`,
-    `scipy.linalg` and `scipy.optimize` were loaded (2-vCPU Xeon, Python
-    3.11, scipy 1.17.1; 4 and 5 fresh interpreters)."""
-    from scipy.signal import lfilter
-
-    return lfilter
 
 
 # typed, so that 8.0 or True cannot hit the entry that 8 or 1 made
@@ -179,9 +158,7 @@ def gen_spiked(scenario: SpikeScenario, rng: np.random.Generator) -> SpikedSampl
     always Gaussian, so the true scores sqrt(lambda1) * z_1j are too.
     """
     d, n = scenario.d, scenario.n
-    d_star = math.isqrt(d)
-    if d_star * d_star < d:
-        d_star += 1
+    d_star = math.isqrt(d - 1) + 1  # ceil(sqrt(d))
     z = np.empty((d, n))
     gauss = d - d_star
     _polar_normals(rng, gauss * n, out=z.reshape(-1)[: gauss * n])
@@ -210,10 +187,13 @@ def gen_ar1(
     scale = float(scale)
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
+    # only the AR(1) tail of the tests study loads scipy.signal
+    import scipy.signal
+
     e = sample_std_normal(rng, (d, size))
     e[0] *= math.sqrt(scale)
     e[1:] *= math.sqrt(scale * (1.0 - rho * rho))
-    return _lfilter()([1.0], [1.0, -rho], e, axis=0)
+    return scipy.signal.lfilter([1.0], [1.0, -rho], e, axis=0)
 
 
 def _spike_transforms(
@@ -243,33 +223,22 @@ def _spike_transforms(
 def gen_two_sample(
     scenario: TwoSampleScenario, rng: np.random.Generator
 ) -> TwoSampleDraw:
-    """Draw the two Gaussian samples and report the population truth.
+    """Draw the two Gaussian samples.
 
     Draw order is fixed: sample 1 spike block, sample 1 tail, sample 2
-    spike block, sample 2 tail. The truth record gives sample 2 relative
-    to sample 1: first-eigenvalue ratio, inner product of the leading
-    directions, and tail-mass ratio (1, 1, 1 under the null;
-    3, 1/3, 1.5 under the alternative).
+    spike block, sample 2 tail.
     """
     d, n1, n2 = scenario.d, scenario.n1, scenario.n2
     b1, b2 = _spike_transforms(scenario.hypothesis, d)
-    alt = scenario.hypothesis == "Ha"
-    tail_scale = 1.5 if alt else 1.0
+    tail_scale = 1.5 if scenario.hypothesis == "Ha" else 1.0
 
     top1 = b1 @ sample_std_normal(rng, (2, n1))
     tail1 = gen_ar1(d - 2, _TAIL_RHO, 1.0, rng, size=n1)
     top2 = b2 @ sample_std_normal(rng, (2, n2))
     tail2 = gen_ar1(d - 2, _TAIL_RHO, tail_scale, rng, size=n2)
-
-    truth = (
-        TwoSampleTruth(lambda_ratio=3.0, h_inner=1.0 / 3.0, kappa_ratio=1.5)
-        if alt
-        else TwoSampleTruth(lambda_ratio=1.0, h_inner=1.0, kappa_ratio=1.0)
-    )
     return TwoSampleDraw(
         x1=DataMatrix(np.vstack((top1, tail1))),
         x2=DataMatrix(np.vstack((top2, tail2))),
-        truth=truth,
     )
 
 
@@ -468,8 +437,12 @@ def run_test_mc(
         TwoSampleScenario("H0", d, n1, n2, seed) for d in _d_list(d_values)
     ]
     half = reps // 2
-    # import scipy.signal here, once, rather than in every forked worker
-    _lfilter()
+    # import scipy.signal here, once, rather than in every forked worker:
+    # it took 0.85-0.93 s and raised the peak RSS by 74 MB right after
+    # `import nrpca.simulation`, and 0.40-0.54 s and 27 MB once
+    # `scipy.special`, `scipy.linalg` and `scipy.optimize` were loaded
+    # (2-vCPU Xeon, Python 3.11, scipy 1.17.1; 4 and 5 fresh interpreters)
+    import scipy.signal  # noqa: F401
 
     def summarize(scenario, by_rep):
         # axes: replication, arm (null, alternative), statistic/rejection, test

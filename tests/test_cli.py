@@ -190,6 +190,15 @@ def test_ci_rejects_both_sources(capsys, spiked_csv):
         assert err == "error: ci takes --input or summary numbers, not both\n"
 
 
+@pytest.mark.parametrize("flag", ["--standardize", "--transpose"])
+def test_ci_from_summary_numbers_refuses_a_matrix_flag(capsys, flag):
+    # each flag used to be dropped, and the plain interval printed
+    argv = ["ci", "--lambda-tilde", "2", "--kappa", "8", "--n", "20", flag]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} applies to --input, not to summary numbers\n"
+
+
 def test_ci_names_an_alpha_above_the_solver_bracket(capsys):
     # brentq used to stop on a NaN upper point with its own message
     argv = ["ci", "--lambda-tilde", "2", "--kappa", "8", "--n", "10"]
@@ -251,6 +260,19 @@ def test_test_command_modes(capsys, tmp_path):
     assert set(record["components"]) == {
         "lambda_ratio", "h_tilde", "h_star", "gamma_tilde", "gamma_star",
     }
+
+
+@pytest.mark.parametrize("mode", ["f1", "f2", "f3"])
+def test_test_command_names_an_overflowing_statistic(capsys, tmp_path, mode):
+    # lambda_tilde_1 near 1e200 over one near 1e-200: the statistic used
+    # to reach the JSON encoder as inf, and its message was printed
+    p1, p2 = _two_sample_files(tmp_path, "H0")
+    for path, scale in ((p1, 1e100), (p2, 1e-100)):
+        save_matrix(path, load_matrix(path).values * scale)
+    argv = ["test", "--input1", p1, "--input2", p2, "--mode", mode]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "error: the F statistic overflowed double precision\n"
 
 
 @pytest.mark.parametrize("mode", ["f2", "f3"])

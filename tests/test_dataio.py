@@ -53,6 +53,19 @@ def test_save_load_round_trip_bit_exact(tmp_path):
     assert np.array_equal(loaded.values, values)
 
 
+def test_save_matrix_writes_17_digits_commas_and_crlf(tmp_path):
+    values = np.array(
+        [[-0.0, 5e-324, 1e300], [-1e300, 0.1, 123456789.12345678]]
+    )
+    path = tmp_path / "m.csv"
+    save_matrix(str(path), values)
+    assert path.read_bytes() == (
+        b"-0,4.9406564584124654e-324,1.0000000000000001e+300\r\n"
+        b"-1.0000000000000001e+300,0.10000000000000001,123456789.12345678\r\n"
+    )
+    assert np.array_equal(load_matrix(str(path)).values, values)
+
+
 @pytest.mark.parametrize(
     "values,message",
     [

@@ -2,6 +2,7 @@
 and that every Python file parses at the oldest Python allowed."""
 
 import ast
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -139,7 +140,24 @@ def test_every_file_parses_at_the_oldest_python():
     for text in newer:
         with pytest.raises(SyntaxError):
             ast.parse(text, feature_version=version)
-    files = [p for top in ("src", "tests", "bench") for p in (root / top).rglob("*.py")]
+    tops = ("src", "tests", "bench", "tools")
+    files = [p for top in tops for p in (root / top).rglob("*.py")]
     assert len(files) > 20
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)
+
+
+def test_the_code_line_counter_leaves_out_docstrings_comments_and_blanks(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    tool = root / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", tool)
+    counter = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(counter)
+    path = tmp_path / "m.py"
+    path.write_text(
+        '"""A docstring\nof two lines."""\n\n# a comment\n'
+        "x = (1,\n     2)  # a trailing comment\n\n"
+        'def f():\n    """One line."""\n    return """text\n"""\n'
+    )
+    # x = (1, / 2) / def f(): / return """text / """
+    assert counter.code_lines(path) == 5

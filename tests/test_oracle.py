@@ -19,7 +19,6 @@ import math
 
 import mpmath
 import numpy as np
-import pytest
 from hypothesis import Phase, example, given, reject, settings
 from hypothesis import strategies as st
 
@@ -199,12 +198,6 @@ def test_f_statistics_match_a_50_digit_oracle(nu1, nu2, d, seed, spike, alpha):
     assert _rel(f3_test(est1, est2, alpha).statistic, f3) <= bound
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="scipy.special.fdtri, behind every F critical point, is off by "
-    "up to about 420 eps at df 100-300: 6 % of 1000 random points exceed "
-    "64 eps, 377 eps at F(201, 266)'s upper 5e-6 point",
-)
 # no shrinking: the first failure is the finding
 @settings(
     max_examples=60,

@@ -149,6 +149,24 @@ def test_f_upper_point_matches_quantile():
     assert abs(f_upper_point(9.0, 19.0, 0.05) - 2.4226989371239705544) <= 1e-9
 
 
+@pytest.mark.parametrize(
+    "d1,d2,alpha",
+    [
+        (300.0, 19.0, 1e-300),
+        (1e4, 2.0, 1e-200),
+        (1e4, 1.0, 1e-300),
+        (1e9, 2.0, 1e-300),
+        (1.0, 1.0, 6e-155),
+    ],
+)
+def test_f_upper_point_steps_safely_in_the_far_tails(d1, d2, alpha):
+    # here the F density underflows, d1 f overflows, or alpha / g(f) is
+    # past the double range: a Newton step of (tail - alpha) / g(f)
+    # divided by zero, took the log of zero or overflowed in exp
+    point = f_upper_point(d1, d2, alpha)
+    assert point == pytest.approx(1.0 / special.fdtri(d2, d1, alpha), rel=1e-8)
+
+
 @pytest.mark.parametrize("alpha", [1e-2, 1e-4, 1e-6, 1e-9, 1e-12])
 def test_small_alpha_points_match_mpmath_tails(alpha):
     # the tail mass at each returned point, evaluated at 50 digits, must
