@@ -278,9 +278,10 @@ def _outcome(
     components: TestComponents,
     alternative: str = "two-sided",
 ) -> TestOutcome:
-    if statistic == math.inf:
-        # a numerical failure, not a statistical one: no DegenerateSpectrumError
-        raise ValueError("the F statistic overflowed double precision")
+    # every factor is positive and finite, so 0 and inf are an underflow
+    # and an overflow: a numerical failure, not a DegenerateSpectrumError
+    if statistic == 0.0 or statistic == math.inf:
+        raise ValueError("the F statistic is outside double precision")
     # "less" rejects below the one-sided lower point at alpha, which is
     # the two-sided lower point at 2 alpha: (2 alpha) / 2 == alpha exactly
     less = alternative == "less"

@@ -262,17 +262,21 @@ def test_test_command_modes(capsys, tmp_path):
     }
 
 
+@pytest.mark.parametrize("scales", [(1e100, 1e-100), (1e-100, 1e100)])
 @pytest.mark.parametrize("mode", ["f1", "f2", "f3"])
-def test_test_command_names_an_overflowing_statistic(capsys, tmp_path, mode):
+def test_test_command_names_a_statistic_outside_double_precision(
+    capsys, tmp_path, mode, scales
+):
     # lambda_tilde_1 near 1e200 over one near 1e-200: the statistic used
-    # to reach the JSON encoder as inf, and its message was printed
+    # to reach the JSON encoder as inf, and its message was printed; the
+    # swapped files gave a statistic of 0 and a rejection
     p1, p2 = _two_sample_files(tmp_path, "H0")
-    for path, scale in ((p1, 1e100), (p2, 1e-100)):
+    for path, scale in zip((p1, p2), scales):
         save_matrix(path, load_matrix(path).values * scale)
     argv = ["test", "--input1", p1, "--input2", p2, "--mode", mode]
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
-    assert err == "error: the F statistic overflowed double precision\n"
+    assert err == "error: the F statistic is outside double precision\n"
 
 
 @pytest.mark.parametrize("mode", ["f2", "f3"])

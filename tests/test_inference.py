@@ -404,24 +404,31 @@ def test_non_finite_eigenvalues_are_named_not_accepted():
             assert not isinstance(info.value, DegenerateSpectrumError)
 
 
-def test_an_overflowing_statistic_is_named_not_returned():
-    # 1e300 / 1e-300 used to come back as statistic=inf with no word; an
-    # overflow is a numerical failure, not a degenerate spectrum
+def test_a_statistic_outside_double_precision_is_named_not_returned():
+    # 1e300 / 1e-300 used to come back as statistic=inf with no word, and
+    # the swapped samples as statistic=0.0 with reject_null=True; both are
+    # numerical failures, not a degenerate spectrum
     e1 = np.array([1.0, 0.0, 0.0])
     big, small = _fake_estimate(1e300, 1.0, e1), _fake_estimate(1e-300, 1.0, e1)
-    # F1 and F2 are 1e200 here, and F3's tail factor takes it past the range
+    # F1 and F2 are 1e±200 here, and F3's tail factor takes them past the range
     wide, unit = _fake_estimate(1e200, 1e200, e1), _fake_estimate(1.0, 1.0, e1)
     assert f2_test(wide, unit).statistic == pytest.approx(1e200)
+    assert f2_test(unit, wide).statistic == pytest.approx(1e-200)
     for run in (
         lambda: f1_test(1e300, 1e-300, 10, 10),
+        lambda: f1_test(1e-300, 1e300, 10, 10),
         lambda: f1_test(1e300, 1e-300, 10, 10, alternative="less"),
+        lambda: f1_test(1e-300, 1e300, 10, 10, alternative="less"),
         lambda: f2_test(big, small),
+        lambda: f2_test(small, big),
         lambda: f3_test(big, small),
+        lambda: f3_test(small, big),
         lambda: f3_test(wide, unit),
+        lambda: f3_test(unit, wide),
     ):
         with pytest.raises(ValueError) as info:
             run()
-        assert str(info.value) == "the F statistic overflowed double precision"
+        assert str(info.value) == "the F statistic is outside double precision"
         assert not isinstance(info.value, DegenerateSpectrumError)
 
 

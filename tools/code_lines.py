@@ -5,11 +5,10 @@ indentation, and is not part of a string statement (a docstring).
 Blank lines, comments and docstrings are left out, so the count moves
 only with code.
 
-Usage: python tools/code_lines.py [package directory]
+Usage: python tools/code_lines.py
 """
 
 import ast
-import sys
 import tokenize
 from pathlib import Path
 
@@ -43,17 +42,11 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    default = Path(__file__).resolve().parents[1] / "src" / "nrpca"
-    root = Path(argv[1]) if len(argv) > 1 else default
+if __name__ == "__main__":
+    package = Path(__file__).resolve().parents[1] / "src" / "nrpca"
     total = 0
-    for path in sorted(root.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         count = code_lines(path)
         total += count
         print(f"{path.name:20} {count:5}")
     print(f"{'total':20} {total:5}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv))
