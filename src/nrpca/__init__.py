@@ -9,10 +9,10 @@ for two covariance spectra, and a deterministic Monte Carlo harness.
 Importing the package loads numpy only. The Monte Carlo harness is the
 `nrpca.simulation` module (`run_estimation_mc`, `run_test_mc`, ...),
 which the package does not import; only its AR(1) sampler `gen_ar1`,
-behind `run_test_mc`, loads scipy.signal. `inference` imports scipy.special
-(its chi-square and F functions) and scipy.optimize (`optimal_ab`) on
-first call, so `import nrpca` and the non-simulating CLI commands start
-without scipy.
+behind `run_test_mc`, loads scipy.linalg, for its BLAS `dtbsv` filter.
+`inference` imports scipy.special (its chi-square and F functions) and
+scipy.optimize (`optimal_ab`) on first call, so `import nrpca` and the
+non-simulating CLI commands start without scipy.
 `nrpca estimate` never loads it: the Jarque-Bera p-value of its scores
 is the chi-square(2) upper tail, which is exp(-x/2) in closed form.
 

@@ -159,7 +159,7 @@ def _cmd_simulate(args: argparse.Namespace) -> dict:
     flags = (*_STUDY_FLAGS[args.study], "reps", "seed", "workers")
     given = {flag: getattr(args, flag) for flag in flags}
     options = {flag: value for flag, value in given.items() if value is not None}
-    # the tests study alone loads scipy.signal
+    # the tests study alone loads scipy.linalg, for its AR(1) filter
     from .simulation import run_estimation_mc, run_test_mc
 
     if args.study == "pc":

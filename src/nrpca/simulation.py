@@ -177,8 +177,9 @@ def gen_ar1(
     the columns of a d x size array, driven by independent innovations.
 
     x_1 = sqrt(scale) e_1 and x_t = rho x_{t-1} + sqrt(scale (1-rho^2)) e_t,
-    evaluated by a direct-form filter whose per-step arithmetic (one
-    multiply, one add) matches the recursion bit for bit.
+    solved for all columns at once as one unit-bidiagonal system by BLAS
+    `dtbsv`, whose per-step arithmetic (one multiply, one add) matches
+    the recursion bit for bit. The array returned is Fortran-ordered.
     """
     d = _check_count("d", d, 1)
     rho = float(rho)
@@ -187,13 +188,24 @@ def gen_ar1(
     scale = float(scale)
     if not 0.0 < scale < math.inf:
         raise ValueError(f"scale must be positive and finite, got {scale}")
-    # only the AR(1) tail of the tests study loads scipy.signal
-    import scipy.signal
-
     e = sample_std_normal(rng, (d, size))
-    e[0] *= math.sqrt(scale)
-    e[1:] *= math.sqrt(scale * (1.0 - rho * rho))
-    return scipy.signal.lfilter([1.0], [1.0, -rho], e, axis=0)
+    if e.size == 0:  # dtbsv rejects an empty vector
+        return e
+    # only the AR(1) tail of the tests study loads scipy.linalg
+    from scipy.linalg.blas import dtbsv
+
+    scales = np.full(d, math.sqrt(scale * (1.0 - rho * rho)))
+    scales[0] = math.sqrt(scale)
+    # the columns, one after another, as one vector; x_t - (-rho) x_{t-1}
+    # with the transposed upper band: its dot of length one rounds like
+    # rho * x_{t-1}, where the untransposed lower form fuses to an FMA.
+    # A zero at each column's first entry stops the recursion there; the
+    # band's diagonal row is never read (unit diagonal).
+    x = np.multiply(e.T, scales, order="C")
+    band = np.full((2, d * size), -rho, order="F")
+    band[0, ::d] = 0.0
+    y = dtbsv(1, band, x.reshape(-1), lower=0, trans=1, diag=1, overwrite_x=1)
+    return y.reshape(size, d).T
 
 
 def _spike_transforms(
@@ -437,12 +449,12 @@ def run_test_mc(
         TwoSampleScenario("H0", d, n1, n2, seed) for d in _d_list(d_values)
     ]
     half = reps // 2
-    # import scipy.signal here, once, rather than in every forked worker:
-    # it took 0.85-0.93 s and raised the peak RSS by 74 MB right after
-    # `import nrpca.simulation`, and 0.40-0.54 s and 27 MB once
-    # `scipy.special`, `scipy.linalg` and `scipy.optimize` were loaded
-    # (2-vCPU Xeon, Python 3.11, scipy 1.17.1; 4 and 5 fresh interpreters)
-    import scipy.signal  # noqa: F401
+    # import gen_ar1's BLAS here, once, rather than in every forked worker:
+    # it took 0.19-0.21 s and raised the peak RSS by 27 MB right after
+    # `import nrpca.simulation`, and 0.04 s and 6.5 MB once `scipy.special`
+    # was loaded (2-vCPU Xeon, Python 3.11, scipy 1.17.1; 5 fresh
+    # interpreters each)
+    import scipy.linalg.blas  # noqa: F401
 
     def summarize(scenario, by_rep):
         # axes: replication, arm (null, alternative), statistic/rejection, test

@@ -12,10 +12,10 @@ import pytest
 
 import nrpca
 
-# modules that only the tests study (scipy.signal), the interval solver
-# (scipy.optimize) and the distribution functions (scipy.special) use,
-# which load on first use, and scipy.stats, which only the tests use as
-# an oracle
+# modules that the interval solver (scipy.optimize) and the distribution
+# functions (scipy.special) use, which load on first use; scipy.stats,
+# which only the tests use as an oracle; and scipy.signal, which nothing
+# uses: the AR(1) filter is BLAS `dtbsv`
 DEFERRED = ("scipy.signal", "scipy.optimize", "scipy.special", "scipy.stats")
 
 
@@ -53,21 +53,20 @@ def test_estimate_runs_without_scipy(run_python, tmp_path):
     assert 0.0 < json.loads(out.read_text())["jb_p_value"] <= 1.0
 
 
-def test_only_the_tests_study_loads_scipy_signal(run_python):
-    # the estimation study never filters, so it leaves scipy.signal
-    # unloaded; the tests study loads it in the caller before its pool
-    # forks, not in each worker alone
+def test_no_study_loads_scipy_signal(run_python):
+    # the AR(1) tail of the tests study is filtered by BLAS `dtbsv`; the
+    # caller imports it before the pool forks, not each worker alone
     out = _run(
         run_python,
         "import sys\n"
         "from nrpca.simulation import run_estimation_mc, run_test_mc\n"
         "for model in ('a', 'b'):\n"
         "    run_estimation_mc(model, [64], n=5, reps=4, workers=2)\n"
-        "print('scipy.signal' in sys.modules)\n"
+        "print('scipy.signal' in sys.modules, 'scipy.linalg' in sys.modules)\n"
         "run_test_mc([64], reps=4, workers=2)\n"
-        "print('scipy.signal' in sys.modules)"
+        "print('scipy.signal' in sys.modules, 'scipy.linalg' in sys.modules)"
     )
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "False", "True"]
 
 
 # the package surface: `nrpca.__all__` is built from the modules' own

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -27,6 +28,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nrpca import dataio, parallel, simulation
 from nrpca.dataio import load_matrix
@@ -183,6 +186,58 @@ def test_gen_ar1_matches_explicit_recursion():
     for t in range(1, d):
         expected[t] = e[t] + rho * expected[t - 1]
     assert np.array_equal(out, expected)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@example(d=7, size=0, rho=0.3, scale=1.0, key=5)  # dtbsv rejects an empty vector
+@example(d=1, size=3, rho=0.3, scale=2.0, key=5)  # a recursion with no step
+@given(
+    d=st.integers(1, 300),
+    size=st.integers(0, 25),
+    rho=st.one_of(
+        st.sampled_from([0.0, -0.0]),
+        st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+    scale=st.floats(-300.0, 300.0).map(lambda k: 10.0**k),
+    key=st.integers(0, 2**32),
+)
+def test_gen_ar1_is_the_python_float_recursion_bit_for_bit(d, size, rho, scale, key):
+    out = gen_ar1(d, rho, scale, make_stream(key, 3), size)
+    e = sample_std_normal(make_stream(key, 3), (d, size)).tolist()
+    first, rest = math.sqrt(scale), math.sqrt(scale * (1.0 - rho * rho))
+    expected = np.empty((d, size))
+    for j in range(size):
+        x = expected[0, j] = first * e[0][j]
+        for t in range(1, d):
+            x = expected[t, j] = rest * e[t][j] + rho * x
+    assert out.shape == (d, size)
+    assert out.tobytes() == expected.tobytes()
+
+
+# the sha256 of gen_ar1(2046, 0.3, 1.5, make_stream(28, 1), 20), the size
+# of the tests study's tail; scipy.signal.lfilter gave these bits too
+AR1_DIGEST = "ec3b62c5d129e21cc863a979ed8d1283179edcff480a073df2fdebf15e15f5ff"
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Nehalem"},
+     {"OPENBLAS_NUM_THREADS": "1"}],
+    ids=["default", "Haswell", "Nehalem", "one-thread"],
+)
+def test_gen_ar1_bits_do_not_depend_on_the_blas_kernel(run_python, env):
+    # the filter's dot has length one, so no kernel can fuse or reorder
+    # it; Nehalem has no FMA, Haswell has one
+    proc = run_python(
+        code="import hashlib\n"
+        "from nrpca.sampling import make_stream\n"
+        "from nrpca.simulation import gen_ar1\n"
+        "x = gen_ar1(2046, 0.3, 1.5, make_stream(28, 1), 20)\n"
+        "print(hashlib.sha256(x.tobytes()).hexdigest())",
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == AR1_DIGEST
 
 
 def test_gen_ar1_single_vector_shape():
@@ -526,6 +581,23 @@ def test_the_cached_pool_is_shut_down_at_exit(run_python):
             os.kill(pid, 0)
 
 
+def _describe(worker) -> str:
+    """The worker's pid, whether the kept pool holds it, and its state
+    and signal masks as Linux's /proc reports them."""
+    pool = parallel._pool[1] if parallel._pool is not None else None
+    kept = pool is not None and worker.pid in (pool._processes or {})
+    fields = ("State", "SigPnd", "ShdPnd", "SigBlk", "SigIgn", "SigCgt")
+    try:
+        status = Path(f"/proc/{worker.pid}/status").read_text()
+    except OSError as error:
+        masks = f"no status ({error})"
+    else:
+        masks = "; ".join(
+            line for line in status.splitlines() if line.split(":")[0] in fields
+        )
+    return f"pid {worker.pid}, in the kept pool: {kept}, {masks}"
+
+
 @pytest.mark.parametrize(
     "signum", [signal.SIGINT, signal.SIGKILL], ids=["SIGINT", "SIGKILL"]
 )
@@ -540,16 +612,17 @@ def test_a_kept_pool_that_lost_a_worker_is_replaced(signum, monkeypatch):
     run_estimation_mc(*study, workers=2, **options)
     worker = multiprocessing.active_children()[0]
     # a worker still sending its last result reports a SIGINT's
-    # KeyboardInterrupt as that job's outcome and lives on; the pool's
-    # manager thread may reap a dead one before this join does
+    # KeyboardInterrupt as that job's outcome and lives on. Its sentinel
+    # says when it has ended: once the pool's manager thread has reaped
+    # it, and until that thread records the exit code, `exitcode` reads
+    # None and `join` returns at once
     for _ in range(100):
-        if worker.exitcode is not None:
-            break
         with contextlib.suppress(ProcessLookupError):
             os.kill(worker.pid, signum)
-        worker.join(0.3)
+        if multiprocessing.connection.wait([worker.sentinel], 0.3):
+            break
     else:
-        pytest.fail("the worker outlived its signals")
+        pytest.fail(f"the worker outlived its signals: {_describe(worker)}")
     _assert_same_summary(serial, run_estimation_mc(*study, workers=2, **options))
     assert sizes == [2, 2]
 
