@@ -35,7 +35,6 @@ import numpy as np
 
 from .linalg import (
     DataMatrix,
-    SymMatrix,
     _finite_gram,
     center_columns,
     dual_covariance,
@@ -125,9 +124,10 @@ class NrEstimate:
         )
 
 
-def _spectrum(cov: SymMatrix, n: int):
-    """Guarded (lambda_tilde, lambda_hat, trace, u_hat_1) of a dual covariance."""
-    eigenvalues, eigenvectors = sym_eigen(cov)
+def _spectrum(gram: np.ndarray, n: int):
+    """Guarded (lambda_tilde, lambda_hat, trace, u_hat_1) of a dual
+    covariance, given as an exactly symmetric n x n array."""
+    eigenvalues, eigenvectors = sym_eigen(gram)
     trace_dual = float(eigenvalues.sum())
     if trace_dual < _GRAM_UNDERFLOW:
         raise DegenerateSpectrumError(_NO_SPIKE)
@@ -179,12 +179,11 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
         for start in starts:
             xc = center_columns(values[start : start + _BLOCK_ROWS])
             cov = dual_covariance(xc)
-            total = cov.values if start == 0 else total + cov.values
+            total = cov if start == 0 else total + cov
         if len(starts) > 1:
-            # the Gram; if finite, at n >= 3 so is SymMatrix's total + total.T
+            # the summed Gram; if finite, so is (n - 1) * lambda_tilde_1
             _finite_gram((n - 1) * total)
-            cov = SymMatrix(total)
-    lambda_tilde, lambda_hat, trace_dual, u1 = _spectrum(cov, n)
+    lambda_tilde, lambda_hat, trace_dual, u1 = _spectrum(total, n)
     lt1 = float(lambda_tilde[0])
     scale = (n - 1) * lt1
     h_tilde_1 = np.empty(d)

@@ -61,7 +61,7 @@ class DataMatrix:
         return self.values.shape[1]
 
 
-# sym_eigen's input type; the benchmark probe builds one directly
+# one input type of sym_eigen; the benchmark probe builds one directly
 @dataclass(frozen=True)
 class SymMatrix:
     """A symmetric m x m matrix, symmetrized exactly on construction."""
@@ -105,16 +105,18 @@ def _finite_gram(gram: np.ndarray) -> np.ndarray:
     return gram
 
 
-def dual_covariance(xc: np.ndarray) -> SymMatrix:
+def dual_covariance(xc: np.ndarray) -> np.ndarray:
     """The n x n dual sample covariance of a centered d x n array.
 
-    Returns (Xc^T Xc)/(n - 1). Shares its nonzero eigenvalues with the
-    d x d sample covariance; centering forces the smallest one to zero.
-    Raises ValueError if the products overflow.
+    Returns (Xc^T Xc)/(n - 1) as a float64 array. It is exactly
+    symmetric: numpy forms Xc^T Xc with one BLAS syrk call and mirrors
+    its triangle. Shares its nonzero eigenvalues with the d x d sample
+    covariance; centering forces the smallest one to zero. Raises
+    ValueError if the products overflow.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = xc.T @ xc
-    return SymMatrix(_finite_gram(gram) / (xc.shape[1] - 1))
+    return _finite_gram(gram) / (xc.shape[1] - 1)
 
 
 def _apply_sign_convention(vectors: np.ndarray) -> None:
@@ -129,15 +131,17 @@ def _apply_sign_convention(vectors: np.ndarray) -> None:
     vectors[:, flip] = -vectors[:, flip]
 
 
-def sym_eigen(a: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full spectral decomposition by LAPACK's symmetric solver (`eigh`).
 
-    Returns (eigenvalues, eigenvectors): the eigenvalues in a stable
-    descending sort, so ties keep LAPACK's order, and the eigenvectors
-    as matching columns, each with its largest-magnitude component
-    positive.
+    Takes a SymMatrix or an exactly symmetric float64 array, such as a
+    sum of `dual_covariance` results. An array is not checked: LAPACK
+    reads only its lower triangle. Returns (eigenvalues, eigenvectors):
+    the eigenvalues in a stable descending sort, so ties keep LAPACK's
+    order, and the eigenvectors as matching columns, each with its
+    largest-magnitude component positive.
     """
-    values, vectors = np.linalg.eigh(a.values)
+    values, vectors = np.linalg.eigh(a.values if isinstance(a, SymMatrix) else a)
     order = np.argsort(-values, kind="stable")
     eigenvectors = vectors[:, order]
     _apply_sign_convention(eigenvectors)

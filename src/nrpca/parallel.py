@@ -164,9 +164,15 @@ def _end_with(owner: int) -> None:
     """Have this worker killed when the thread that forked it ends, where
     Linux's `prctl(PR_SET_PDEATHSIG)` is available: an owner killed by a
     signal never stops its workers, and they would wait on their call
-    queue forever, since each holds a write end of that queue's pipe."""
+    queue forever, since each holds a write end of that queue's pipe.
+    And have a Ctrl-C end it without a word: a worker that inherited
+    Python's SIGINT handler gets the default action back, where the
+    handler would print a `KeyboardInterrupt` traceback from an idle
+    worker. An ignored SIGINT stays ignored."""
     import signal
 
+    if signal.getsignal(signal.SIGINT) is signal.default_int_handler:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
     prctl = _libc("prctl")
     if prctl is None:
         return

@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from nrpca import estimators
 from nrpca.estimators import DegenerateSpectrumError, nr_estimate
-from nrpca.linalg import DataMatrix, SymMatrix, center_columns, dual_covariance
+from nrpca.linalg import DataMatrix, center_columns, dual_covariance
 
 # the default row block, at which every matrix below is one block, and
 # one that splits them into several, most with a short last block
@@ -320,9 +320,9 @@ def test_spectrum_of_a_gram_summed_elsewhere_gives_the_estimate():
     for rows in _at_each_block_size():
         total = None
         for start in range(0, len(x), rows):
-            part = dual_covariance(center_columns(x[start : start + rows])).values
+            part = dual_covariance(center_columns(x[start : start + rows]))
             total = part if total is None else total + part
-        lambda_tilde, lambda_hat, trace, u1 = estimators._spectrum(SymMatrix(total), n)
+        lambda_tilde, lambda_hat, trace, u1 = estimators._spectrum(total, n)
         est = nr_estimate(x)
         assert np.array_equal(lambda_tilde, est.lambda_tilde)
         assert np.array_equal(lambda_hat, est.lambda_hat)

@@ -83,7 +83,7 @@ def test_dual_covariance_hand_case():
     expected = 0.5 * np.array(
         [[1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 1.0]]
     )
-    assert np.allclose(sd.values, expected, atol=1e-15)
+    assert np.allclose(sd, expected, atol=1e-15)
 
 
 def test_dual_covariance_trace_is_scaled_frobenius():
@@ -92,7 +92,21 @@ def test_dual_covariance_trace_is_scaled_frobenius():
     xc = center_columns(x)
     sd = dual_covariance(xc)
     expected = np.sum(xc**2) / 6.0
-    assert abs(np.trace(sd.values) - expected) <= 1e-12 * expected
+    assert abs(np.trace(sd) - expected) <= 1e-12 * expected
+
+
+def test_the_dual_covariance_is_an_exactly_symmetric_array():
+    # numpy's syrk product mirrors its triangle, so SymMatrix's check and
+    # symmetrize would change nothing, and sym_eigen gives the same bits
+    # for the array and for a SymMatrix of it
+    rng = np.random.default_rng(15)
+    for d, n in [(1, 3), (7, 4), (300, 10), (2048, 20), (9000, 60)]:
+        sd = dual_covariance(center_columns(rng.standard_normal((d, n))))
+        assert type(sd) is np.ndarray and sd.dtype == np.float64
+        assert np.array_equal(sd, sd.T)
+        assert np.array_equal(SymMatrix(sd).values, sd)
+        for got, want in zip(sym_eigen(sd), sym_eigen(SymMatrix(sd))):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 20])

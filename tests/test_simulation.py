@@ -11,6 +11,7 @@ import concurrent.futures
 import contextlib
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -217,6 +218,39 @@ def test_gen_ar1_is_the_python_float_recursion_bit_for_bit(d, size, rho, scale, 
 # the sha256 of gen_ar1(2046, 0.3, 1.5, make_stream(28, 1), 20), the size
 # of the tests study's tail; scipy.signal.lfilter gave these bits too
 AR1_DIGEST = "ec3b62c5d129e21cc863a979ed8d1283179edcff480a073df2fdebf15e15f5ff"
+# what _spiked_digest(model, d) and _two_sample_digest(hypothesis, d)
+# below return for each key
+SPIKED_DIGESTS = {
+    ("a", 8): "45f50113d02b19d4fd7ae220d600baae61f5f9d33da1e9cae250c38caa71ccde",
+    ("a", 8192): "2ece7b0282eb56630729da872c4eed6885aef7b53d6d9b4b5b62197fd39ec99a",
+    ("b", 8): "f60f54cae4f76e36441722cce000e76cff7ae8f8c99f7d44d013f5be29f356c4",
+    ("b", 8192): "f91dba37b72dfa55091cbc14c2e6ea47b8d9055de18d48735876071333eda57e",
+}
+TWO_SAMPLE_DIGESTS = {
+    ("H0", 8): "55a4ece5c9c0497b8c06d3400836d231cffa664d900fe8e3cb5e9f66ca5b3a28",
+    ("H0", 2048): "43bb6768ab89cc4f8cae769550a2b92943ccf3a673583a05cd47eb090308ebe1",
+    ("Ha", 8): "ae2386ad3a824254c9edcc1be4fd0157ec75181b78b0efb54d6bba52463ef949",
+    ("Ha", 2048): "089f5a4f9bc656b8b65353b8012c6a85171d7cee7111cfcf1b1c346bcc14eaa7",
+}
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def _spiked_digest(model, d):
+    draw = gen_spiked(SpikeScenario(model=model, d=d, n=10, seed=0), make_stream(9, d))
+    # the digest includes the true direction, the first axis
+    return _digest(draw.x.values, draw.true_scores, np.eye(d)[0], draw.lambda1)
+
+
+def _two_sample_digest(hypothesis, d):
+    scenario = TwoSampleScenario(hypothesis=hypothesis, d=d, n1=10, n2=20, seed=0)
+    draw = gen_two_sample(scenario, make_stream(4, d))
+    return _digest(draw.x1.values, draw.x2.values)
 
 
 @pytest.mark.parametrize(
@@ -227,17 +261,27 @@ AR1_DIGEST = "ec3b62c5d129e21cc863a979ed8d1283179edcff480a073df2fdebf15e15f5ff"
 )
 def test_gen_ar1_bits_do_not_depend_on_the_blas_kernel(run_python, env):
     # the filter's dot has length one, so no kernel can fuse or reorder
-    # it; Nehalem has no FMA, Haswell has one
+    # it; Nehalem has no FMA, Haswell has one. The spiked and the null
+    # two-sample draws keep their frozen bits too; the alternative is
+    # left out, as its 2x2 loading product rounds otherwise without FMA
+    null = [key for key in TWO_SAMPLE_DIGESTS if key[0] == "H0"]
+    helpers = (_digest, _spiked_digest, _two_sample_digest)
     proc = run_python(
         code="import hashlib\n"
+        "import numpy as np\n"
         "from nrpca.sampling import make_stream\n"
-        "from nrpca.simulation import gen_ar1\n"
-        "x = gen_ar1(2046, 0.3, 1.5, make_stream(28, 1), 20)\n"
-        "print(hashlib.sha256(x.tobytes()).hexdigest())",
+        "from nrpca.simulation import (\n"
+        "    SpikeScenario, TwoSampleScenario, gen_ar1, gen_spiked, gen_two_sample\n"
+        ")\n"
+        + "".join(map(inspect.getsource, helpers))
+        + "print(_digest(gen_ar1(2046, 0.3, 1.5, make_stream(28, 1), 20)))\n"
+        + f"for key in {list(SPIKED_DIGESTS)!r}:\n    print(_spiked_digest(*key))\n"
+        + f"for key in {null!r}:\n    print(_two_sample_digest(*key))\n",
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == AR1_DIGEST
+    want = [AR1_DIGEST, *SPIKED_DIGESTS.values(), *map(TWO_SAMPLE_DIGESTS.get, null)]
+    assert proc.stdout.split() == want
 
 
 def test_gen_ar1_single_vector_shape():
@@ -369,8 +413,7 @@ def test_run_estimation_mc_worker_count_invariant():
         _assert_same_summary(a, b)
 
 
-def test_process_pool_capped_at_job_count(monkeypatch):
-    # 3 jobs per study at 8 workers on 8 cores: the pool gets 3 processes
+def _recorded_pool_sizes(monkeypatch):
     sizes = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -379,6 +422,12 @@ def test_process_pool_capped_at_job_count(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_process_pool_capped_at_job_count(monkeypatch):
+    # 3 jobs per study at 8 workers on 8 cores: the pool gets 3 processes
+    sizes = _recorded_pool_sizes(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     pooled = run_estimation_mc(
         "b", [8], n=10, reps=3, seed=2, workers=8, keep_samples=True
@@ -419,14 +468,7 @@ def _three_block_csv(tmp_path):
 def test_load_matrix_pool_capped_at_block_count(tmp_path, monkeypatch):
     # one pool per multi-block load, with one process per usable core up
     # to one per block, and the same bytes at every core count
-    sizes = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    sizes = _recorded_pool_sizes(monkeypatch)
     path, values = _three_block_csv(tmp_path)
     loaded = {}
     for cores in (1, 2, 8):
@@ -437,18 +479,6 @@ def test_load_matrix_pool_capped_at_block_count(tmp_path, monkeypatch):
             loaded[cores] = load_matrix(str(path)).values.tobytes()
     assert sizes == [2, 3]
     assert loaded[1] == loaded[2] == loaded[8] == values.tobytes()
-
-
-def _recorded_pool_sizes(monkeypatch):
-    sizes = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    return sizes
 
 
 def test_a_load_keeps_no_workers(tmp_path, monkeypatch):
@@ -581,6 +611,37 @@ def test_the_cached_pool_is_shut_down_at_exit(run_python):
             os.kill(pid, 0)
 
 
+_INTERRUPTED_POOL = """
+import contextlib, os, signal
+import multiprocessing, multiprocessing.connection
+import nrpca.simulation
+os.sched_getaffinity = lambda pid: {0, 1}
+def rows():
+    return nrpca.simulation.run_estimation_mc(
+        "b", [8, 64], n=10, reps=4, seed=2, workers=2
+    ).as_records()
+first = rows()
+workers = multiprocessing.active_children()
+for worker in workers:
+    # the pool ends the others when it sees one worker gone, and may
+    # have reaped one already
+    with contextlib.suppress(ProcessLookupError):
+        os.kill(worker.pid, signal.SIGINT)
+ended = [multiprocessing.connection.wait([w.sentinel], 60) for w in workers]
+print(len(workers), all(ended), rows() == first)
+"""
+
+
+def test_a_ctrl_c_ends_kept_workers_quietly(run_python):
+    # a Ctrl-C signals the whole foreground process group: the idle kept
+    # workers end without a traceback, and the next study maps on a
+    # fresh pool, to the same rows
+    proc = run_python(code=_INTERRUPTED_POOL)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout.split() == ["2", "True", "True"]
+
+
 def _describe(worker) -> str:
     """The worker's pid, whether the kept pool holds it, and its state
     and signal masks as Linux's /proc reports them."""
@@ -611,11 +672,11 @@ def test_a_kept_pool_that_lost_a_worker_is_replaced(signum, monkeypatch):
     serial = run_estimation_mc(*study, workers=1, **options)
     run_estimation_mc(*study, workers=2, **options)
     worker = multiprocessing.active_children()[0]
-    # a worker still sending its last result reports a SIGINT's
-    # KeyboardInterrupt as that job's outcome and lives on. Its sentinel
-    # says when it has ended: once the pool's manager thread has reaped
-    # it, and until that thread records the exit code, `exitcode` reads
-    # None and `join` returns at once
+    # either signal ends a worker, busy or idle, since workers give
+    # SIGINT its default action. Its sentinel says when it has ended:
+    # once the pool's manager thread has reaped it, and until that
+    # thread records the exit code, `exitcode` reads None and `join`
+    # returns at once
     for _ in range(100):
         with contextlib.suppress(ProcessLookupError):
             os.kill(worker.pid, signum)
@@ -652,6 +713,67 @@ def test_a_pool_forked_in_an_ended_thread_is_replaced(monkeypatch):
     assert len(workers) == 2 and all(w.exitcode is not None for w in workers)
     _assert_same_summary(serial, run_estimation_mc(*study, workers=2, **options))
     assert sizes == [2, 2]
+
+
+# a semaphore and an event that the at-fork test sets before its pool
+# forks, so that the pool's workers share them
+_started = _release = None
+
+
+def _held_until_released(job):
+    _started.release()
+    _release.wait(60)
+    return job
+
+
+def _square(job):
+    return job * job
+
+
+def _map_in_a_process_group(conn):
+    # its own group, so a failing test can stop it with its workers
+    os.setpgid(0, 0)
+    conn.send(parallel.ordered_map(_square, [1, 2, 3, 4], workers=2))
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork hooks")
+def test_a_process_forked_during_a_map_maps_on_a_pool_of_its_own(monkeypatch):
+    # a process forked while another thread holds the pool lock, inside
+    # its map, gets a lock of its own: its copy of the held one would
+    # never be released, and its first map would wait forever
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    context = multiprocessing.get_context("fork")
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "_started", context.Semaphore(0))
+    monkeypatch.setattr(module, "_release", context.Event())
+    mapped = []
+    thread = threading.Thread(
+        target=lambda: mapped.extend(
+            parallel.ordered_map(_held_until_released, [5, 6], workers=2)
+        )
+    )
+    thread.start()
+    try:
+        # both jobs running: the thread has submitted them and waits
+        # inside its map, holding the lock
+        assert all(_started.acquire(timeout=60) for _ in range(2))
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_map_in_a_process_group, args=(sender,))
+        child.start()
+        sender.close()
+        child.join(20)
+        alive = child.is_alive()
+        if alive:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.join()
+        got = receiver.recv() if child.exitcode == 0 else None
+        receiver.close()
+    finally:
+        _release.set()
+        thread.join(60)
+    assert not alive, "the child's map waited on a lock held in its parent"
+    assert got == [1, 4, 9, 16]
+    assert not thread.is_alive() and mapped == [5, 6]
 
 
 def _gone(pid):
@@ -902,41 +1024,19 @@ def test_row_columns_are_pinned_and_rows_pickle():
         assert repr(dataclasses.asdict(copy)) == repr(dataclasses.asdict(row))
 
 
-def _digest(*arrays) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
-    return h.hexdigest()
-
-
 @pytest.mark.parametrize(
-    "model,d,expected",
-    [
-        ("a", 8, "45f50113d02b19d4fd7ae220d600baae61f5f9d33da1e9cae250c38caa71ccde"),
-        ("a", 8192, "2ece7b0282eb56630729da872c4eed6885aef7b53d6d9b4b5b62197fd39ec99a"),
-        ("b", 8, "f60f54cae4f76e36441722cce000e76cff7ae8f8c99f7d44d013f5be29f356c4"),
-        ("b", 8192, "f91dba37b72dfa55091cbc14c2e6ea47b8d9055de18d48735876071333eda57e"),
-    ],
+    "model,d,expected", [(*key, digest) for key, digest in SPIKED_DIGESTS.items()]
 )
 def test_gen_spiked_is_frozen(model, d, expected):
-    draw = gen_spiked(SpikeScenario(model=model, d=d, n=10, seed=0), make_stream(9, d))
-    # the frozen digest includes the true direction, the first axis
-    assert _digest(draw.x.values, draw.true_scores, np.eye(d)[0], draw.lambda1) == expected
+    assert _spiked_digest(model, d) == expected
 
 
 @pytest.mark.parametrize(
     "hypothesis,d,expected",
-    [
-        ("H0", 8, "55a4ece5c9c0497b8c06d3400836d231cffa664d900fe8e3cb5e9f66ca5b3a28"),
-        ("H0", 2048, "43bb6768ab89cc4f8cae769550a2b92943ccf3a673583a05cd47eb090308ebe1"),
-        ("Ha", 8, "ae2386ad3a824254c9edcc1be4fd0157ec75181b78b0efb54d6bba52463ef949"),
-        ("Ha", 2048, "089f5a4f9bc656b8b65353b8012c6a85171d7cee7111cfcf1b1c346bcc14eaa7"),
-    ],
+    [(*key, digest) for key, digest in TWO_SAMPLE_DIGESTS.items()],
 )
 def test_gen_two_sample_is_frozen(hypothesis, d, expected):
-    scenario = TwoSampleScenario(hypothesis=hypothesis, d=d, n1=10, n2=20, seed=0)
-    draw = gen_two_sample(scenario, make_stream(4, d))
-    assert _digest(draw.x1.values, draw.x2.values) == expected
+    assert _two_sample_digest(hypothesis, d) == expected
 
 
 def _summary_digest(summary) -> str:
