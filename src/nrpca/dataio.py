@@ -179,10 +179,6 @@ def _first_ragged(width: int, lines: list[str]) -> tuple[int, int] | None:
     return None
 
 
-def _ragged(width: int, found: int) -> str:
-    return f"expected {width} columns, found {found}"
-
-
 def _fault(name: str, lineno: int, text: str) -> ValueError:
     return ValueError(f"{name}: line {lineno}: {text}")
 
@@ -221,12 +217,12 @@ def _block_bounds(handle, first_end: int, size: int) -> list[int]:
 
 
 def _parse_block(
-    path: str, width: int, lo: int, hi: int, first: bool
+    path: str, width: int, lo: int, hi: int
 ) -> tuple[int, tuple[int, str] | None, bool, np.ndarray | None]:
     """Parse the non-blank lines in bytes [lo, hi) of `path`, all alike.
 
-    `first` is True for the block that holds the file's first non-blank
-    line, which it leaves out: `_load` decides that line's role.
+    The block at offset 0 holds the file's first non-blank line, which
+    it leaves out: `_load` decides that line's role.
     Returns the block's line count; the index and error text of its
     first ragged, not UTF-8 or open-quoted line, or None; whether column
     0 holds text; and the values, None where a cell does not parse. The
@@ -234,12 +230,12 @@ def _parse_block(
     columns 1 on.
     """
     count, keep, lines, fault = _read_lines(path, lo, hi)
-    if first:
+    if lo == 0:
         keep, lines = keep[1:], lines[1:]
     ragged = _first_ragged(width, lines)
     if ragged is not None:
         k, found = ragged
-        return count, (keep[k], _ragged(width, found)), False, None
+        return count, (keep[k], f"expected {width} columns, found {found}"), False, None
     if fault is not None:
         return count, (count, fault), False, None
     if not lines:
@@ -306,7 +302,6 @@ def _load(name: str, handle, path: str) -> DataMatrix:
         partial(_parse_block, path, width),
         bounds[:-1],
         bounds[1:],
-        [True] + [False] * (len(bounds) - 2),
         workers=len(bounds) - 1,
     )
     close_pool()  # a file is read once: kept workers would only hold memory

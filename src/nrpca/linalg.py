@@ -112,8 +112,10 @@ def dual_covariance(xc: np.ndarray) -> np.ndarray:
     symmetric: numpy forms Xc^T Xc with one BLAS syrk call and mirrors
     its triangle. Shares its nonzero eigenvalues with the d x d sample
     covariance; centering forces the smallest one to zero. Raises
-    ValueError if the products overflow.
+    ValueError for fewer than 2 samples or if the products overflow.
     """
+    if xc.shape[1] < 2:
+        raise ValueError(f"need at least 2 samples (columns), got {xc.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = xc.T @ xc
     return _finite_gram(gram) / (xc.shape[1] - 1)

@@ -10,18 +10,18 @@ tail-mass factor under the alternative.
 
 Replications are embarrassingly parallel. Each replication draws from
 its own counter-based substream keyed by (seed, d, replication, arm).
-Both studies run through one loop, `_run_study`. A study checks its
-arguments by building one frozen scenario per d, and those scenarios
-are the jobs: `_run_study` maps every (scenario, replication) pair
-through `parallel.ordered_map`, the map the CSV loader uses too: at
-most `workers` forked processes, one per usable core and one per job,
-so a count above the core count runs at the core count; and a serial
-map in a daemonic process, which may not start processes. The workers
-are forked once and kept; `nrpca.parallel` says when it forks anew.
-First it applies `parallel.keep_freed_memory` to the calling process,
-whose forked workers inherit it: replications reuse freed memory
-instead of faulting it in again. The setting outlives the call and
-never changes a value.
+Both studies run through one loop, `_run_study`. A study checks d, the
+sample sizes and the seed only by building one frozen scenario per d,
+and those scenarios are the jobs: `_run_study` maps every (scenario,
+replication) pair through `parallel.ordered_map`, the map the CSV loader
+uses too: at most `workers` forked processes, one per usable core and
+one per job, so a count above the core count runs at the core count; and
+a serial map in a daemonic process, which may not start processes. The
+workers are forked once and kept; `nrpca.parallel` says when it forks
+anew. First it applies `parallel.keep_freed_memory` to the calling
+process, whose forked workers inherit it: replications reuse freed
+memory instead of faulting it in again. The setting outlives the call
+and never changes a value.
 Jobs are submitted largest d first, so the pool's last chunks are the
 cheapest, and the results are put back in (d, replication) order, where
 the study's summary turns each d's values into its row and its named
@@ -86,9 +86,9 @@ class SpikeScenario:
 
     def __post_init__(self):
         _check_choice("model", self.model, ("a", "b"))
-        _check_count("d", self.d, 4)
-        _check_count("n", self.n, 3)
-        _check_seed(self.seed)
+        object.__setattr__(self, "d", _check_count("d", self.d, 4))
+        object.__setattr__(self, "n", _check_count("n", self.n, 3))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -108,10 +108,10 @@ class TwoSampleScenario:
 
     def __post_init__(self):
         _check_choice("hypothesis", self.hypothesis, ("H0", "Ha"))
-        _check_count("d", self.d, 8)
-        _check_count("n1", self.n1, 3)
-        _check_count("n2", self.n2, 3)
-        _check_seed(self.seed)
+        object.__setattr__(self, "d", _check_count("d", self.d, 8))
+        object.__setattr__(self, "n1", _check_count("n1", self.n1, 3))
+        object.__setattr__(self, "n2", _check_count("n2", self.n2, 3))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -275,24 +275,14 @@ def _row_class(name: str, doc: str, keys: list, columns: list[str]) -> type:
 EstimationRow = _row_class(
     "EstimationRow",
     """Per-d summary of the single-sample study. Ratios are relative to
-    the true first eigenvalue; inner products use the true direction.
-
-    Columns: model, d, n, reps, lambda_tilde_mean, lambda_tilde_var,
-    lambda_tilde_se, lambda_hat_mean, lambda_hat_var, lambda_hat_se,
-    h_tilde_mean, h_tilde_var, h_tilde_se, h_hat_mean, h_hat_var, h_hat_se,
-    mse_tilde_mean, mse_tilde_var, mse_tilde_se, mse_hat_mean, mse_hat_var,
-    mse_hat_se.""",
+    the true first eigenvalue; inner products use the true direction.""",
     [("model", str), ("d", int), ("n", int), ("reps", int)],
     [f"{m}_{s}" for m in _ESTIMATION_METRICS for s in ("mean", "var", "se")],
 )
 
 TestRow = _row_class(
     "TestRow",
-    """Per-d empirical size and power of the three tests.
-
-    Columns: d, n1, n2, alpha, reps, size_f1, size_f2, size_f3,
-    size_se_f1, size_se_f2, size_se_f3, power_f1, power_f2, power_f3,
-    power_se_f1, power_se_f2, power_se_f3.""",
+    "Per-d empirical size and power of the three tests.",
     [("d", int), ("n1", int), ("n2", int), ("alpha", float), ("reps", int)],
     [f"{s}_{t}" for s in ("size", "size_se", "power", "power_se") for t in _TESTS],
 )
@@ -406,7 +396,6 @@ def run_estimation_mc(
     for a fixed seed regardless of `workers`.
     """
     reps = _check_count("reps", reps, 2)
-    n, seed = _check_count("n", n, 3), _check_seed(seed)
     scenarios = [SpikeScenario(model, d, n, seed) for d in _d_list(d_values)]
 
     def summarize(scenario, by_rep):
@@ -414,7 +403,7 @@ def run_estimation_mc(
         for values in by_rep.T:
             var = float(np.var(values, ddof=1))
             columns += (float(np.mean(values)), var, math.sqrt(var / reps))
-        row = EstimationRow(model, scenario.d, n, reps, *columns)
+        row = EstimationRow(model, scenario.d, scenario.n, reps, *columns)
         return row, dict(zip(_ESTIMATION_METRICS, by_rep.T))
 
     return _run_study(
@@ -441,10 +430,9 @@ def run_test_mc(
     Deterministic for a fixed seed regardless of `workers`.
     """
     reps = _check_count("reps", reps, 2)
-    n1, n2 = _check_count("n1", n1, 3), _check_count("n2", n2, 3)
     if reps % 2:
         raise ValueError(f"reps must be even and at least 2, got {reps}")
-    alpha, seed = _check_test_alpha(alpha), _check_seed(seed)
+    alpha = _check_test_alpha(alpha)
     scenarios = [
         TwoSampleScenario("H0", d, n1, n2, seed) for d in _d_list(d_values)
     ]
@@ -468,7 +456,8 @@ def run_test_mc(
             for j, name in enumerate(_TESTS)
             for arm, label in enumerate(("null", "alt"))
         }
-        return TestRow(scenario.d, n1, n2, alpha, reps, *columns), named
+        row = TestRow(scenario.d, scenario.n1, scenario.n2, alpha, reps, *columns)
+        return row, named
 
     return _run_study(
         "tests", partial(_test_rep, alpha), scenarios, half, workers,

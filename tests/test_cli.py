@@ -62,14 +62,16 @@ def test_estimate_json_fields(capsys, spiked_csv):
 
 
 def test_estimate_small_n_skips_normality_screen(capsys, tmp_path):
+    # the Jarque-Bera screen is reported from n = 8 samples on
     rng = np.random.default_rng(9)
     path = tmp_path / "tiny.csv"
-    save_matrix(str(path), rng.normal(size=(6, 5)))
-    code, out, _ = _run(capsys, ["estimate", "--input", str(path)])
-    assert code == 0
-    record = json.loads(out)
-    assert record["jb_statistic"] is None
-    assert record["jb_p_value"] is None
+    for n, reported in ((7, False), (8, True)):
+        save_matrix(str(path), rng.normal(size=(6, n)))
+        code, out, _ = _run(capsys, ["estimate", "--input", str(path)])
+        assert code == 0
+        record = json.loads(out)
+        assert (record["jb_statistic"] is not None) is reported, n
+        assert (record["jb_p_value"] is not None) is reported, n
 
 
 def test_estimate_transpose_matches_direct(capsys, tmp_path):

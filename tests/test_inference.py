@@ -454,6 +454,10 @@ def test_direction_h_reciprocal_inner_product():
 def test_direction_h_orthogonal_raises():
     with pytest.raises(OrthogonalDirectionsError):
         direction_h(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    # the threshold is 1e-8 of the norms' product, not an exact zero
+    with pytest.raises(OrthogonalDirectionsError):
+        direction_h(np.array([1.0, 0.0]), np.array([1e-9, 1.0]))
+    assert direction_h(np.array([1.0, 0.0]), np.array([1e-7, 1.0])) > 1e6
     with pytest.raises(ValueError):
         direction_h(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
 

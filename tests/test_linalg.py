@@ -7,6 +7,7 @@ orthogonality and trace bounds it promises.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,33 @@ def test_the_dual_covariance_is_an_exactly_symmetric_array():
         assert np.array_equal(SymMatrix(sd).values, sd)
         for got, want in zip(sym_eigen(sd), sym_eigen(SymMatrix(sd))):
             assert np.array_equal(got, want)
+
+
+def test_dual_covariance_needs_two_samples_and_names_an_overflow():
+    # one sample would divide the Gram by n - 1 = 0
+    one = r"^need at least 2 samples \(columns\), got 1$"
+    with pytest.raises(ValueError, match=one):
+        dual_covariance(np.zeros((3, 1)))
+    # matmul warns on the overflow; the named error, not that warning, comes out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="the Gram matrix overflowed"):
+            dual_covariance(np.full((3, 4), 1e200))
+
+
+@pytest.mark.parametrize("m", [20, 40])
+def test_sym_eigen_ties_keep_lapacks_order(m):
+    # eigenvalues drawn from {1, 2, 3} tie many times over; the descending
+    # sort is stable, so tied pairs keep the order LAPACK returned them in
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        a = SymMatrix(q @ np.diag(rng.integers(1, 4, size=m).astype(float)) @ q.T)
+        w, v = np.linalg.eigh(a.values)
+        order = np.argsort(-w, kind="stable")
+        lam, vectors = sym_eigen(a)
+        assert lam.tobytes() == w[order].tobytes()
+        assert np.abs(vectors).tobytes() == np.abs(v[:, order]).tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 20])

@@ -90,6 +90,23 @@ def test_scenario_validation():
         TwoSampleScenario(hypothesis="H0", d=7, n1=10, n2=20, seed=0)
 
 
+def test_scenarios_hold_python_ints():
+    # the scenarios are the studies' one check of d, the sample sizes and
+    # the seed, and they store what the check returns
+    spike = SpikeScenario("a", np.int64(8), np.int32(10), np.uint64(3))
+    pair = TwoSampleScenario("H0", np.int16(8), np.int64(5), np.uint8(6), np.int64(3))
+    for scenario in (spike, pair):
+        for field in dataclasses.fields(scenario)[1:]:
+            assert type(getattr(scenario, field.name)) is int, field.name
+    assert spike == SpikeScenario("a", 8, 10, 3)
+    assert pair == TwoSampleScenario("H0", 8, 5, 6, 3)
+    # with several arguments bad, a study names the first its scenario checks
+    with pytest.raises(ValueError, match="^model must be"):
+        run_estimation_mc("q", [8], n=2)
+    with pytest.raises(ValueError, match="^d must be an integer >= 8"):
+        run_test_mc([4], n1=2, reps=2)
+
+
 @pytest.mark.parametrize(
     "name, call, listed",
     [
@@ -1144,9 +1161,25 @@ def test_keep_freed_memory_is_a_no_op_without_mallopt(monkeypatch):
         parallel._libc.cache_clear()
 
 
+def test_jobs_are_submitted_largest_d_first(monkeypatch):
+    # the rows come back in the caller's order, so only the map sees the
+    # order the jobs are submitted in
+    submitted = []
+
+    def recording_map(fn, scenarios, reps, workers):
+        submitted.extend(scenario.d for scenario in scenarios)
+        return list(map(fn, scenarios, reps))
+
+    monkeypatch.setattr(simulation, "ordered_map", recording_map)
+    out = run_estimation_mc("b", [64, 2048, 512], reps=2)
+    assert submitted == [2048, 2048, 512, 512, 64, 64]
+    assert [row.d for row in out.rows] == [64, 2048, 512]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_rows_follow_the_callers_d_order(workers):
-    # jobs run largest d first; rows and samples come back as asked
+    # jobs run largest d first (test_jobs_are_submitted_largest_d_first);
+    # rows and samples come back as asked
     for run in (
         lambda ds: run_estimation_mc(
             "b", ds, n=10, reps=4, seed=8, workers=workers, keep_samples=True
