@@ -59,12 +59,6 @@ class DegenerateSpectrumError(ValueError):
     """The corrected first eigenvalue vanished; directions are undefined."""
 
 
-_NO_SPIKE = (
-    "corrected first eigenvalue is zero: the spectrum has no "
-    "detectable spike, so directions and scores are undefined"
-)
-
-
 def pc_direction(xc: np.ndarray, u1: np.ndarray, scale: float) -> np.ndarray:
     """Direction estimate (Xc u1)/sqrt(scale) with scale = (n-1)*lambda;
     nr_estimate has already required the scale to be positive."""
@@ -130,7 +124,10 @@ def _spectrum(gram: np.ndarray, n: int):
     eigenvalues, eigenvectors = sym_eigen(gram)
     trace_dual = float(eigenvalues.sum())
     if trace_dual < _GRAM_UNDERFLOW:
-        raise DegenerateSpectrumError(_NO_SPIKE)
+        raise ValueError(
+            "the Gram matrix underflowed double precision; "
+            "multiply the data by a power of two"
+        )
     leading = eigenvalues[: n - 2]
     divisors = (n - 1) - np.arange(1, n - 1, dtype=np.float64)
     corrected = leading - (trace_dual - np.cumsum(leading)) / divisors
@@ -145,7 +142,10 @@ def _spectrum(gram: np.ndarray, n: int):
     # eigenvector mostly along it is the rounding residue of centering
     # constant rows, not a spike
     if lambda_tilde[0] <= _CLAMP_REL * trace_dual or u1.sum() ** 2 > n / 2:
-        raise DegenerateSpectrumError(_NO_SPIKE)
+        raise DegenerateSpectrumError(
+            "corrected first eigenvalue is zero: the spectrum has no "
+            "detectable spike, so directions and scores are undefined"
+        )
     return lambda_tilde, eigenvalues[: n - 1], trace_dual, u1
 
 
@@ -161,12 +161,12 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
     ------
     DegenerateSpectrumError
         If lambda_tilde_1 is zero relative to the trace (no detectable
-        spike; the direction and downstream tests would be meaningless),
-        if the first eigenvector lies mostly along the all-ones vector
-        (constant rows), or if the trace is so small that the Gram
-        matrix underflowed.
+        spike; the direction and downstream tests would be meaningless)
+        or if the first eigenvector lies mostly along the all-ones vector
+        (constant rows).
     ValueError
-        If the Gram matrix overflowed double precision.
+        If the Gram matrix overflowed double precision, or if its trace
+        is so small (below 2^-970) that its products underflowed.
     """
     if not isinstance(x, DataMatrix):
         x = DataMatrix(x)

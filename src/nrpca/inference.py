@@ -174,14 +174,10 @@ def f_upper_point(d1: float, d2: float, alpha: float) -> float:
 
 def _check_ci_alpha(alpha: float) -> float:
     alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if alpha < 1e-6:
-        raise ValueError(f"alpha={alpha} is below the solver bracket (1e-6)")
     # from 1 - alpha = 4e-6 on, the upper point is NaN at the bracket's
-    # end for small df; on df 2 to 10^4 it is finite up to this bound
-    if alpha > 1.0 - 1e-5:
-        raise ValueError(f"alpha={alpha} is above the solver bracket (1 - 1e-5)")
+    # end for small df; on df 2 to 10^4 it is finite up to the upper bound
+    if not 1e-6 <= alpha <= 1.0 - 1e-5:
+        raise ValueError(f"alpha must lie in [1e-6, 1 - 1e-5], got {alpha}")
     return alpha
 
 
@@ -447,7 +443,8 @@ def asymptotic_power(
         # lambda_ratio / (h * gamma) underflowed: c*f is 0, below any lower point
         return 1.0
     lower, upper = _two_sided_bounds(nu1, nu2, alpha)
-    return f_cdf(nu1, nu2, lower / c) + 1.0 - f_cdf(nu1, nu2, upper / c)
+    # each tail is read directly: 1 - cdf loses the upper one at small alpha
+    return f_cdf(nu1, nu2, lower / c) + float(_sc().fdtrc(nu1, nu2, upper / c))
 
 
 def jarque_bera(values: np.ndarray) -> JarqueBera:

@@ -26,8 +26,9 @@ __all__ = [
 def _as_float_array(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     # min and max carry a NaN through and allocate nothing the size of
-    # arr, where np.isfinite(arr) would allocate a bool per entry
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+    # arr, where np.isfinite(arr) would allocate a bool per entry; their
+    # initial 0 lets an empty array pass
+    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
@@ -72,8 +73,8 @@ class SymMatrix:
         arr = _as_float_array(self.values, "values")
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"values must be square, got shape {arr.shape}")
-        scale = np.abs(arr).max() if arr.size else 0.0
-        if arr.size and np.abs(arr - arr.T).max() > 1e-8 * (1.0 + scale):
+        # relative to the largest entry, so the test does not depend on units
+        if np.abs(arr - arr.T).max(initial=0.0) > 1e-8 * np.abs(arr).max(initial=0.0):
             raise ValueError("matrix is not symmetric within tolerance")
         object.__setattr__(self, "values", (arr + arr.T) / 2.0)
 

@@ -206,7 +206,7 @@ def test_ci_names_an_alpha_above_the_solver_bracket(capsys):
     argv = ["ci", "--lambda-tilde", "2", "--kappa", "8", "--n", "10"]
     code, out, err = _run(capsys, argv + ["--alpha", "0.999999"])
     assert (code, out) == (1, "")
-    assert err == "error: alpha=0.999999 is above the solver bracket (1 - 1e-5)\n"
+    assert err == "error: alpha must lie in [1e-6, 1 - 1e-5], got 0.999999\n"
 
 
 def test_ci_where_the_solver_takes_over_100_steps(capsys):
@@ -320,7 +320,7 @@ def test_ci_checks_alpha_before_reading_a_file(capsys):
     argv = ["ci", "--input", "/no/such.csv", "--alpha", "2"]
     code, out, err = _run(capsys, argv)
     assert (code, out) == (1, "")
-    assert err == "error: alpha must lie in (0, 1), got 2.0\n"
+    assert err == "error: alpha must lie in [1e-6, 1 - 1e-5], got 2.0\n"
 
 
 def test_json_output_has_no_nan_or_infinity():

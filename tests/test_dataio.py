@@ -4,6 +4,7 @@ import csv
 import os
 import re
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ def test_load_matrix_skips_blank_lines(tmp_path):
     path.write_text("1,2,3\n\n4,5,6\n\n")
     loaded = load_matrix(str(path))
     assert loaded.values.shape == (2, 3)
+
+
+def test_a_block_of_blank_lines_parses_without_a_warning(tmp_path, monkeypatch):
+    # at 12 bytes a block, the second block holds 12 blank lines alone;
+    # np.loadtxt warns "input contained no data" when it is given none
+    path = tmp_path / "gap.csv"
+    path.write_text("1,2,3\n4,5,6\n" + "\n" * 12 + "7,8,9\n")
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 12)
+    monkeypatch.setattr(dataio.os, "sched_getaffinity", lambda pid: {0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_matrix(str(path))
+    assert np.array_equal(loaded.values, np.arange(1.0, 10.0).reshape(3, 3))
 
 
 def test_load_matrix_ragged_reports_line(tmp_path, monkeypatch):
@@ -662,6 +676,19 @@ def test_standardize_rows_rejects_constant_row():
     values[1:] = np.random.default_rng(0).normal(size=(3, 5))
     with pytest.raises(ValueError, match="row 0"):
         standardize_rows(values)
+
+
+def test_standardize_rows_constant_floor_is_1e_13_of_the_mean():
+    # row 0's sample standard deviation is 1.05 * 1e-12 of its mean of 3,
+    # then 1.05 * 5e-14 of it, either side of the 1e-13 floor
+    x = np.random.default_rng(6).normal(size=(4, 10))
+    wiggle = np.tile([1.0, -1.0], 5)
+    x[0] = 3.0 + 3e-12 * wiggle
+    # the mean of 3 leaves the wiggle about 4 significant digits
+    assert np.std(standardize_rows(x).values[0], ddof=1) == pytest.approx(1.0, rel=1e-3)
+    x[0] = 3.0 + 1.5e-13 * wiggle
+    with pytest.raises(ValueError, match="row 0 has zero sample variance"):
+        standardize_rows(x)
 
 
 def test_standardize_rows_is_scale_free():

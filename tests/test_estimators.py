@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from nrpca import estimators
 from nrpca.estimators import DegenerateSpectrumError, nr_estimate
+from nrpca.inference import contribution_ci
 from nrpca.linalg import DataMatrix, center_columns, dual_covariance
 
 # the default row block, at which every matrix below is one block, and
@@ -149,6 +150,38 @@ def test_invalid_dual_spectrum_raises_value_error(monkeypatch):
     with pytest.raises(ValueError, match="negative beyond round-off") as info:
         nr_estimate(np.random.default_rng(2).normal(size=(6, 4)))
     assert type(info.value) is ValueError
+
+
+def test_round_off_floor_is_1e_14_of_the_trace():
+    # the second corrected value of diag(1, 0.1, 0.1, e) is 0.1 - (0.1 + e)
+    # = -e, against a floor of 1e-14 times the trace 1.2 + e
+    with pytest.raises(ValueError, match="negative beyond round-off"):
+        estimators._spectrum(np.diag([1.0, 0.1, 0.1, 6e-14]), 4)
+    lambda_tilde, *_ = estimators._spectrum(np.diag([1.0, 0.1, 0.1, 6e-15]), 4)
+    assert lambda_tilde[1] == 0.0
+
+
+def test_rank_one_round_off_is_clamped():
+    # a rank-one matrix has lambda_tilde_1 = trace and a zero tail in exact
+    # arithmetic; round-off puts lambda_tilde_1 above the trace in 91 of
+    # these draws, and a corrected tail value below 0 in 35
+    rng = np.random.default_rng(0)
+    above = below = 0
+    for _ in range(200):
+        d, n = int(rng.integers(3, 60)), int(rng.integers(4, 15))
+        est = nr_estimate(np.outer(rng.standard_normal(d), rng.standard_normal(n)))
+        leading = est.lambda_hat[: n - 2]
+        divisors = (n - 1) - np.arange(1, n - 1, dtype=np.float64)
+        raw = leading - (est.trace_dual - np.cumsum(leading)) / divisors
+        below += bool(np.any(raw < 0.0))
+        assert np.array_equal(est.lambda_tilde, np.maximum(raw, 0.0))
+        if est.lambda_tilde[0] > est.trace_dual:
+            above += 1
+            assert est.kappa_tilde == 0.0
+            assert est.contribution_ratio == 1.0
+        ci = contribution_ci(est.lambda_tilde[0], est.kappa_tilde, n)
+        assert 0.0 <= ci.lower <= ci.upper <= 1.0
+    assert above >= 40 and below >= 20
 
 
 @pytest.mark.parametrize(
@@ -354,15 +387,24 @@ def test_gram_overflow_names_itself(monkeypatch):
         # at 2^-540 the Gram trace is 3.5e-323: the products have underflowed,
         # and without this check the ratio comes out 2.3 times too large
         _small_data_spike() * 2.0**-540,
+        # at 2^-505 the trace is about 2^-1000, a normal number, but the
+        # products of the smallest entries are already subnormal
+        _small_data_spike() * 2.0**-505,
         # this subnormal Gram's correction dips below the round-off floor,
-        # so the check must run before the round-off check raises a plain error
+        # so the check must run before the round-off check names another fault
         np.random.default_rng(24).standard_normal((6, 5)) * 2.0**-537,
     ],
-    ids=["spike", "below_floor"],
+    ids=["spike", "spike_normal_trace", "below_floor"],
 )
-def test_underflowed_gram_is_degenerate(x):
-    with pytest.raises(DegenerateSpectrumError):
+def test_underflowed_gram_is_a_numerical_error(x):
+    # an underflow is a numerical failure, not a missing spike
+    message = (
+        "^the Gram matrix underflowed double precision; "
+        "multiply the data by a power of two$"
+    )
+    with pytest.raises(ValueError, match=message) as info:
         nr_estimate(x)
+    assert type(info.value) is ValueError
 
 
 @PROPERTY

@@ -117,10 +117,15 @@ def test_optimal_ab_rejects_bad_inputs():
     with pytest.raises(ValueError, match="alpha"):
         optimal_ab(19, math.nan)
     # from 1 - alpha = 4e-6 on, brentq met a NaN upper point at df = 8
+    message = r"^alpha must lie in \[1e-6, 1 - 1e-5\], got "
     for df in (2, 8, 1000):
-        with pytest.raises(ValueError, match="above the solver bracket"):
+        with pytest.raises(ValueError, match=message + r"0\.999999$"):
             optimal_ab(df, 0.999999)
-    assert optimal_ab(2, 1.0 - 1e-5).a > 0.0
+    # both ends are in the range, and the next double past either is not
+    for end, beyond in ((1e-6, 0.0), (1.0 - 1e-5, 1.0)):
+        assert optimal_ab(2, end).a > 0.0
+        with pytest.raises(ValueError, match=message):
+            optimal_ab(2, np.nextafter(end, beyond))
 
 
 def test_optimal_ab_converges_where_brent_takes_over_100_steps():
@@ -604,6 +609,11 @@ def test_asymptotic_power_null_equals_level():
     for alpha in (0.05, 0.01, 0.2):
         got = asymptotic_power(9, 19, 1.0, alpha=alpha)
         assert got == pytest.approx(alpha, abs=1e-12)
+    # the upper tail is read directly: as 1 - cdf it was off by a relative
+    # 1.4e-10 at 1e-6, 8.3e-8 at 1e-10 and 1e-2 at 1e-14
+    for alpha in (1e-6, 1e-10, 1e-14):
+        got = asymptotic_power(9, 19, 1.0, alpha=alpha)
+        assert abs(got - alpha) <= 32 * np.finfo(np.float64).eps * alpha
 
 
 def test_asymptotic_power_monotone_in_ratio():

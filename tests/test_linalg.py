@@ -70,6 +70,20 @@ def test_sym_matrix_symmetrizes_and_rejects():
         SymMatrix(np.ones((2, 3)))
 
 
+def test_sym_matrix_tolerance_is_relative_to_its_largest_entry():
+    # the tolerance was 1e-8 * (1 + max |a_ij|), a floor of 1e-8 that let
+    # this matrix through at 2^-40 and symmetrized it to 2^-40 * ones
+    a = np.array([[1.0, 2.0], [0.0, 1.0]])
+    for k in (-40, 0, 600):
+        with pytest.raises(ValueError, match="not symmetric within tolerance"):
+            SymMatrix(a * 2.0**k)
+    with pytest.raises(ValueError, match="not symmetric within tolerance"):
+        SymMatrix(np.array([[1.0, 1.0 + 1e-6], [1.0, 1.0]]))
+    # an empty or all-zero matrix is symmetric
+    for m in (0, 2):
+        assert np.array_equal(SymMatrix(np.zeros((m, m))).values, np.zeros((m, m)))
+
+
 def test_center_columns_zeroes_row_sums():
     rng = np.random.default_rng(4)
     x = DataMatrix(rng.normal(size=(6, 9)) + 1e6)  # large common offset

@@ -157,12 +157,17 @@ def test_f_upper_point_matches_quantile():
         (1e4, 1.0, 1e-300),
         (1e9, 2.0, 1e-300),
         (1.0, 1.0, 6e-155),
+        (20.0, 50.0, 1e-302),
+        (8.0, 1e9, 1e-304),
     ],
 )
 def test_f_upper_point_steps_safely_in_the_far_tails(d1, d2, alpha):
     # here the F density underflows, d1 f overflows, or alpha / g(f) is
     # past the double range: a Newton step of (tail - alpha) / g(f)
-    # divided by zero, took the log of zero or overflowed in exp
+    # divided by zero, took the log of zero or overflowed in exp; in the
+    # last two the tail is inexact, and the step of 2e-3 and 9e-4 of the
+    # point that the 1e-8 bound refuses moves it away from the true one
+    # (`fdtri` is off by 6.5e-4 and 4.2e-4, the step's point by 1.3e-3)
     point = f_upper_point(d1, d2, alpha)
     assert point == pytest.approx(1.0 / special.fdtri(d2, d1, alpha), rel=1e-8)
 
