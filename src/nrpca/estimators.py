@@ -20,8 +20,12 @@ and the scores s_tilde_1j = sqrt((n-1) lambda_tilde_1) * u_hat_1j.
 `nr_estimate` is the one entry point; the fields and properties of
 `NrEstimate` expose each of these. It never makes a centered copy of
 the whole input: one pass over fixed blocks of `_BLOCK_ROWS` rows sums
-their Gram matrices, and a second forms h_tilde_1. An input of one
-block gives the bits of one whole product, and is centered once.
+their Gram matrices, `_spectrum` turns the sum into every field but
+h_tilde_1, and a second pass forms h_tilde_1. An input of one block
+gives the bits of one whole product, and is centered once. `_spectrum`
+holds every range guard on the summed Gram, at any block count: an
+entry or (n-1) lambda_hat_1 past the double range, or a trace below
+2^-970, raises a plain ValueError naming the overflow or underflow.
 `pc_direction` is internal: it stays a module-level function only so
 the benchmark tracer (`bench/tracing.py`) can wrap the direction matvec.
 """
@@ -119,9 +123,20 @@ class NrEstimate:
 
 
 def _spectrum(gram: np.ndarray, n: int):
-    """Guarded (lambda_tilde, lambda_hat, trace, u_hat_1) of a dual
-    covariance, given as an exactly symmetric n x n array."""
+    """Every `NrEstimate` field of a summed dual covariance, given as an
+    exactly symmetric n x n array, except d, n and h_tilde_1; with u_hat_1
+    and the direction scale (n-1)*lambda_tilde_1. Holds every guard on
+    the Gram, however many blocks were summed into it."""
+    # a sum of finite blocks can overflow, and eigh of an inf returns
+    _finite_gram(gram)
     eigenvalues, eigenvectors = sym_eigen(gram)
+    # the largest number an estimate holds: it bounds the trace (n - 1
+    # eigenvalues of at most lambda_hat_1), the scale, both scores and
+    # every entry of a PSD Gram; a float product, so numpy cannot warn,
+    # and _finite_gram names the overflow if it left the range
+    top = (n - 1) * float(eigenvalues[0])
+    if not top < math.inf:
+        _finite_gram(np.array(top))
     trace_dual = float(eigenvalues.sum())
     if trace_dual < _GRAM_UNDERFLOW:
         raise ValueError(
@@ -146,16 +161,26 @@ def _spectrum(gram: np.ndarray, n: int):
             "corrected first eigenvalue is zero: the spectrum has no "
             "detectable spike, so directions and scores are undefined"
         )
-    return lambda_tilde, eigenvalues[: n - 1], trace_dual, u1
+    scale = (n - 1) * float(lambda_tilde[0])
+    fields = dict(
+        lambda_tilde=lambda_tilde,
+        lambda_hat=eigenvalues[: n - 1],
+        # lambda_tilde_1 <= trace in exact arithmetic; clamp the round-off
+        kappa_tilde=max(trace_dual - float(lambda_tilde[0]), 0.0),
+        trace_dual=trace_dual,
+        scores_tilde=math.sqrt(scale) * u1,
+        scores_hat=math.sqrt(top) * u1,
+    )
+    return fields, u1, scale
 
 
 def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
     """Run the full first-component pipeline on a data matrix.
 
     Validates the input once; then, over row blocks, centers the columns
-    and sums the dual covariance; `_spectrum` decomposes it and applies
-    the noise correction; then it computes the scores and, with one more
-    blocked matvec pass, the corrected direction.
+    and sums the dual covariance; `_spectrum` checks and decomposes the
+    sum, applies the noise correction and forms the scores; one more
+    blocked matvec pass forms the corrected direction.
 
     Raises
     ------
@@ -165,11 +190,11 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
         or if the first eigenvector lies mostly along the all-ones vector
         (constant rows).
     ValueError
-        If the Gram matrix overflowed double precision, or if its trace
-        is so small (below 2^-970) that its products underflowed.
+        If an entry of the summed Gram matrix or (n - 1) * lambda_hat_1
+        overflowed double precision, at any number of row blocks, or if
+        the trace is so small (below 2^-970) that its products underflowed.
     """
-    if not isinstance(x, DataMatrix):
-        x = DataMatrix(x)
+    x = x if isinstance(x, DataMatrix) else DataMatrix(x)
     d, n, values = x.d, x.n, x.values
     starts = range(0, d, _BLOCK_ROWS)
     # the first block's covariance is the sum's start, so a one-block
@@ -180,12 +205,7 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
             xc = center_columns(values[start : start + _BLOCK_ROWS])
             cov = dual_covariance(xc)
             total = cov if start == 0 else total + cov
-        if len(starts) > 1:
-            # the summed Gram; if finite, so is (n - 1) * lambda_tilde_1
-            _finite_gram((n - 1) * total)
-    lambda_tilde, lambda_hat, trace_dual, u1 = _spectrum(total, n)
-    lt1 = float(lambda_tilde[0])
-    scale = (n - 1) * lt1
+    fields, u1, scale = _spectrum(total, n)
     h_tilde_1 = np.empty(d)
     # last block first: it is still centered from the first pass
     for start in reversed(starts):
@@ -193,15 +213,4 @@ def nr_estimate(x: DataMatrix | np.ndarray) -> NrEstimate:
         if start != starts[-1]:
             xc = center_columns(values[rows])
         h_tilde_1[rows] = pc_direction(xc, u1, scale)
-    return NrEstimate(
-        d=d,
-        n=n,
-        lambda_tilde=lambda_tilde,
-        lambda_hat=lambda_hat,
-        # lambda_tilde_1 <= trace in exact arithmetic; clamp the round-off
-        kappa_tilde=max(trace_dual - lt1, 0.0),
-        trace_dual=trace_dual,
-        h_tilde_1=h_tilde_1,
-        scores_tilde=math.sqrt(scale) * u1,
-        scores_hat=math.sqrt((n - 1) * float(lambda_hat[0])) * u1,
-    )
+    return NrEstimate(d=d, n=n, h_tilde_1=h_tilde_1, **fields)

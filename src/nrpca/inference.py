@@ -24,6 +24,7 @@ first call, so importing this module does not load scipy, and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -334,10 +335,11 @@ def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
 
     The inputs are used exactly as estimated (no renormalization); their
     norm inflation is visible as NrEstimate.h_tilde_norm_sq. Always >= 1,
-    with equality only for parallel unit-product directions.
+    with equality only for parallel unit-product directions. Raises
+    OrthogonalDirectionsError for a cosine of at most 1e-8, and ValueError
+    for an inner product outside the normal double range.
     """
-    h1 = np.asarray(h1, dtype=np.float64)
-    h2 = np.asarray(h2, dtype=np.float64)
+    h1, h2 = (np.asarray(h, dtype=np.float64) for h in (h1, h2))
     if h1.ndim != 1 or h1.shape != h2.shape:
         raise ValueError(
             "direction vectors must be 1-D of one length, "
@@ -346,17 +348,22 @@ def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
     for name, h in (("h1", h1), ("h2", h2)):
         if not np.isfinite(h).all():
             raise ValueError(f"direction vector {name} has a non-finite entry")
-    norm1 = float(np.linalg.norm(h1))
-    norm2 = float(np.linalg.norm(h2))
+    # the norms and the cosine test at a power-of-two scale: exact, and in
+    # range for any two finite vectors, whatever their magnitudes
+    s1, s2 = (np.ldexp(h, -math.frexp(np.abs(h).max(initial=0.0))[1]) for h in (h1, h2))
+    norm1, norm2 = float(np.linalg.norm(s1)), float(np.linalg.norm(s2))
     if norm1 == 0.0 or norm2 == 0.0:
         raise ValueError("direction vectors must be nonzero")
-    inner = abs(float(h1 @ h2))
-    if inner <= 1e-8 * norm1 * norm2:
+    if abs(float(s1 @ s2)) <= 1e-8 * norm1 * norm2:
         raise OrthogonalDirectionsError(
-            "direction estimates are numerically orthogonal "
-            f"(|inner|={inner:.3e} vs norms {norm1:.3e}, {norm2:.3e}); "
+            "direction estimates are numerically orthogonal (|cos| <= 1e-8); "
             "the direction-adjusted statistic is unbounded"
         )
+    with np.errstate(over="ignore"):
+        inner = abs(float(h1 @ h2))
+    # a subnormal inner product has lost bits, and its reciprocal overflows
+    if not sys.float_info.min <= inner < math.inf:
+        raise ValueError(f"the inner product {inner:.3e} is outside the double range")
     return 0.5 * inner + 0.5 / inner
 
 

@@ -7,15 +7,18 @@ acceptance check at the end of the run. Every test starts and ends
 with no cached worker pool. `run_python` starts a fresh
 interpreter on this checkout's package, for the checks that need a
 process of their own: the command line as a user runs it, what an
-import loads, or a locale.
+import loads, or a locale. Two small matrices sit at the top of the
+double range, where a finite Gram still overflows an estimate.
 """
 
 import functools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nrpca
@@ -76,6 +79,28 @@ def tests_2048():
         [2048], n1=10, n2=20, reps=4000, seed=ACCEPTANCE_SEED, workers=_CORES,
         keep_samples=True,
     )
+
+
+@pytest.fixture()
+def trace_overflow_matrix():
+    """Rows the cyclic shifts of [a, -a/2, -a/2]: already centered, with
+    Gram diagonal 1.5 a^2 = 0.9 of the largest double, off-diagonal
+    -0.75 a^2, and so a trace of 1.35 of it."""
+    a = math.sqrt(0.9 * sys.float_info.max / 1.5)
+    return np.array([np.roll([a, -a / 2, -a / 2], k) for k in range(3)])
+
+
+@pytest.fixture()
+def score_overflow_matrix():
+    """A rank-one 40 x 3 matrix with scores [1, 0, -1] and 1e-3 noise,
+    scaled so that the largest entry of Xc^T Xc is 0.55 of the largest
+    double: its Gram is finite, but (n - 1) lambda_hat_1, twice that
+    entry, is not."""
+    rng = np.random.default_rng(5)
+    x = np.outer(rng.standard_normal(40), [1.0, 0.0, -1.0])
+    x += 1e-3 * rng.standard_normal((40, 3))
+    xc = x - x.mean(axis=1, keepdims=True)
+    return x * math.sqrt(0.55 * sys.float_info.max / np.abs(xc.T @ xc).max())
 
 
 @pytest.fixture(autouse=True)

@@ -623,6 +623,28 @@ def test_a_gram_overflow_fails_with_one_named_error(run_python, tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+GRAM_OVERFLOW = (
+    "error: the Gram matrix overflowed double precision; "
+    "divide the data by a power of two\n"
+)
+
+
+def test_an_estimate_past_the_double_range_fails_with_one_named_error(
+    capsys, tmp_path, trace_overflow_matrix, score_overflow_matrix
+):
+    # each Gram is finite; the scores of one and the trace of the other
+    # are not, and came out as a JSON error or as no spike after a warning
+    paths = {"scores": tmp_path / "scores.csv", "trace": tmp_path / "trace.csv"}
+    save_matrix(str(paths["scores"]), score_overflow_matrix)
+    save_matrix(str(paths["trace"]), trace_overflow_matrix)
+    for path in paths.values():
+        assert _run(capsys, ["estimate", "--input", str(path)]) == (1, "", GRAM_OVERFLOW)
+    # the interval needs only lambda_tilde_1 and kappa_tilde, which are
+    # finite here, but an estimate holding infinite scores is refused whole
+    argv = ["ci", "--input", str(paths["scores"])]
+    assert _run(capsys, argv) == (1, "", GRAM_OVERFLOW)
+
+
 @pytest.fixture(scope="module")
 def multi_block_csvs(tmp_path_factory):
     # about 16 MB as a spreadsheet writes it, labelled and with CRLF line

@@ -5,8 +5,10 @@ Gram matrix, reference eigensolver, explicit correction loop) so any
 disagreement points at the pipeline, not the formulas.
 """
 
+import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,8 +159,8 @@ def test_round_off_floor_is_1e_14_of_the_trace():
     # = -e, against a floor of 1e-14 times the trace 1.2 + e
     with pytest.raises(ValueError, match="negative beyond round-off"):
         estimators._spectrum(np.diag([1.0, 0.1, 0.1, 6e-14]), 4)
-    lambda_tilde, *_ = estimators._spectrum(np.diag([1.0, 0.1, 0.1, 6e-15]), 4)
-    assert lambda_tilde[1] == 0.0
+    fields, _, _ = estimators._spectrum(np.diag([1.0, 0.1, 0.1, 6e-15]), 4)
+    assert fields["lambda_tilde"][1] == 0.0
 
 
 def test_rank_one_round_off_is_clamped():
@@ -346,24 +348,36 @@ def test_a_one_row_last_block_matches_the_whole_array():
 
 
 def test_spectrum_of_a_gram_summed_elsewhere_gives_the_estimate():
-    # the seam a sampler or a diagnostic feeds its own Gram through
+    # the seam a sampler or a diagnostic feeds its own Gram through: it
+    # gives every field but d, n and h_tilde_1, with nr_estimate's bits
     n = 9
     x = np.random.default_rng(14).standard_normal((40, n))
     x *= np.linspace(6.0, 1.0, 40)[:, None]
+    names = {field.name for field in dataclasses.fields(estimators.NrEstimate)}
     for rows in _at_each_block_size():
         total = None
         for start in range(0, len(x), rows):
             part = dual_covariance(center_columns(x[start : start + rows]))
             total = part if total is None else total + part
-        lambda_tilde, lambda_hat, trace, u1 = estimators._spectrum(total, n)
+        fields, u1, scale = estimators._spectrum(total, n)
         est = nr_estimate(x)
-        assert np.array_equal(lambda_tilde, est.lambda_tilde)
-        assert np.array_equal(lambda_hat, est.lambda_hat)
-        assert trace == est.trace_dual
-        scale = (n - 1) * float(lambda_tilde[0])
-        assert np.array_equal(math.sqrt(scale) * u1, est.scores_tilde)
-        scale = (n - 1) * float(lambda_hat[0])
-        assert np.array_equal(math.sqrt(scale) * u1, est.scores_hat)
+        assert set(fields) == names - {"d", "n", "h_tilde_1"}
+        for name, value in fields.items():
+            want = getattr(est, name)
+            assert np.asarray(value).tobytes() == np.asarray(want).tobytes(), name
+        h_tilde_1 = estimators.pc_direction(center_columns(x), u1, scale)
+        gap = np.max(np.abs(h_tilde_1 - est.h_tilde_1))
+        assert gap <= BLOCKED_TOL * np.max(np.abs(h_tilde_1))
+
+
+OVERFLOW = (
+    "^the Gram matrix overflowed double precision; "
+    "divide the data by a power of two$"
+)
+UNDERFLOW = (
+    "^the Gram matrix underflowed double precision; "
+    "multiply the data by a power of two$"
+)
 
 
 def test_gram_overflow_names_itself(monkeypatch):
@@ -373,12 +387,31 @@ def test_gram_overflow_names_itself(monkeypatch):
         nr_estimate(x)
     # each 7-row block's covariance is finite, at 7 a^2 / 2; the sum of 4
     # overflows, and the sum of 2 does not (0.6 of the largest double),
-    # but the Gram it stands for does, as one whole product would
+    # but (n - 1) lambda_hat_1 does, as one whole product would
     monkeypatch.setattr(estimators, "_BLOCK_ROWS", 7)
     for d, a in ((28, 4.1e153), (14, 3.92e153)):
         x = np.tile([a, -a, 0.0], (d, 1))
         with pytest.raises(ValueError, match="^the Gram matrix overflowed double"):
             nr_estimate(x)
+
+
+def test_an_overflowing_trace_names_itself(trace_overflow_matrix):
+    # every Gram entry is finite and the trace is not; the spike check
+    # used to read the overflowed sum as no spike, after a numpy warning
+    for _ in _at_each_block_size():
+        with pytest.raises(ValueError, match=OVERFLOW) as info:
+            nr_estimate(trace_overflow_matrix)
+        assert type(info.value) is ValueError
+
+
+def test_overflowing_scores_name_themselves(score_overflow_matrix):
+    # the Gram, its trace and lambda_tilde_1 are finite; the scores and the
+    # direction scale (n - 1) lambda_tilde_1 are not, and came back as
+    # infinite scores and an all-zero h_tilde_1, at one block or several
+    for _ in _at_each_block_size():
+        with pytest.raises(ValueError, match=OVERFLOW) as info:
+            nr_estimate(score_overflow_matrix)
+        assert type(info.value) is ValueError
 
 
 @pytest.mark.parametrize(
@@ -398,13 +431,42 @@ def test_gram_overflow_names_itself(monkeypatch):
 )
 def test_underflowed_gram_is_a_numerical_error(x):
     # an underflow is a numerical failure, not a missing spike
-    message = (
-        "^the Gram matrix underflowed double precision; "
-        "multiply the data by a power of two$"
-    )
-    with pytest.raises(ValueError, match=message) as info:
+    with pytest.raises(ValueError, match=UNDERFLOW) as info:
         nr_estimate(x)
     assert type(info.value) is ValueError
+
+
+# powers of two that take a spiked input near the top of the double
+# range, where a finite Gram can still overflow the trace or the scores
+# for one or two of them, and near the bottom, where its products underflow
+RANGE_EDGES = (*range(440, 521), *range(-530, -439))
+
+
+# each example runs 172 estimates
+@settings(PROPERTY, max_examples=40)
+@given(d=st.integers(3, 59), n=st.integers(3, 11), seed=st.integers(0, 2**32 - 1))
+def test_range_edges_give_a_finite_estimate_or_a_named_error(d, n, seed):
+    # noise plus a rank-one spike, with row 0 scaled up
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n))
+    spike = np.outer(rng.standard_normal(d), rng.standard_normal(n))
+    x += rng.uniform(0.0, 5.0) * spike
+    x[0] *= 10.0 ** rng.uniform(0.0, 2.0)
+    unscaled = _estimate_or_error(x)
+    degenerate = isinstance(unscaled, tuple) and unscaled[0] is DegenerateSpectrumError
+    for k in RANGE_EDGES:
+        try:
+            est = nr_estimate(x * 2.0**k)
+        except DegenerateSpectrumError:
+            assert degenerate, k
+            continue
+        except ValueError as exc:
+            assert type(exc) is ValueError, k
+            assert re.match(f"{OVERFLOW}|{UNDERFLOW}", str(exc)), (k, exc)
+            continue
+        for field in dataclasses.fields(est):
+            assert np.isfinite(getattr(est, field.name)).all(), (k, field.name)
+        assert np.any(est.h_tilde_1 != 0.0), k
 
 
 @PROPERTY

@@ -467,6 +467,18 @@ def test_direction_h_orthogonal_raises():
         direction_h(np.array([0.0, 0.0]), np.array([0.0, 1.0]))
 
 
+def test_direction_h_takes_norms_past_the_double_range():
+    # the norms 2e160 and 2e-160 leave the double range as squares, but
+    # their product, and the inner product 4, do not
+    ones = np.ones(4)
+    assert direction_h(1e160 * ones, 1e-160 * ones) == 2.125
+    # an inner product of 4e400 or 4e-400 is outside it, not orthogonal
+    for scale in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="outside the double range") as info:
+            direction_h(scale * ones, scale * ones)
+        assert type(info.value) is ValueError
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_direction_h_names_a_non_finite_vector(bad):
     # a nan used to come back as the factor, which F2 read as "do not
