@@ -6,6 +6,10 @@ larger than n; all eigenwork happens on the n x n dual covariance. The
 eigensolver is LAPACK's (`numpy.linalg.eigh`): the noise-reduction
 correction only uses differences of the trace and partial eigenvalue
 sums, for which a normwise backward-stable solver is accurate enough.
+`sym_eigen` hands LAPACK the matrix scaled by a power of two into
+[1/2, 1), where LAPACK does not rescale it by a factor that is not a
+power of two, so scaling the input by 2^k scales the eigenvalues by
+exactly 2^k and leaves the eigenvectors' bits as they are.
 """
 
 from __future__ import annotations
@@ -143,9 +147,21 @@ def sym_eigen(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the eigenvalues in a stable descending sort, so ties keep LAPACK's
     order, and the eigenvectors as matching columns, each with its
     largest-magnitude component positive.
+
+    LAPACK decomposes the matrix divided by the power of two that puts
+    its largest entry in [1/2, 1), and the eigenvalues are multiplied
+    back by it, so a matrix times 2^k gives the eigenvalues times 2^k
+    bit for bit and the same eigenvectors. An eigenvalue past the double
+    range comes back inf. The one exception: an entry smaller than the
+    largest by more than 2^1021 can lose bits as a subnormal in the
+    divided copy; it is below eps of the norm, where the solver's
+    normwise accuracy ignores it anyway.
     """
-    values, vectors = np.linalg.eigh(a.values if isinstance(a, SymMatrix) else a)
+    a = a.values if isinstance(a, SymMatrix) else a
+    shift = np.frexp(np.abs(a).max(initial=0.0))[1]
+    values, vectors = np.linalg.eigh(np.ldexp(a, -shift))
     order = np.argsort(-values, kind="stable")
     eigenvectors = vectors[:, order]
     _apply_sign_convention(eigenvectors)
-    return values[order], eigenvectors
+    with np.errstate(over="ignore"):
+        return np.ldexp(values[order], shift), eigenvectors

@@ -7,6 +7,7 @@ disagreement points at the pipeline, not the formulas.
 
 import dataclasses
 import hashlib
+import inspect
 import math
 import re
 import tracemalloc
@@ -281,29 +282,57 @@ def _small_data_spike():
     return x
 
 
-# LAPACK's eigh rescales a matrix whose norm leaves about [1e-146, 7e145]
-# by a factor that is not a power of two, so there the bits move
-_LAPACK_RESCALES = pytest.mark.xfail(
-    strict=True, reason="LAPACK rescales the Gram matrix by a non-power of two"
-)
+def _assert_scaled(got, want, k):
+    """Every field of the estimate of x * 2^k is the one of x times
+    2^(2k) (the eigenvalues, kappa_tilde and the trace), 2^k (the
+    scores) or 1 (d, n and h_tilde_1), bit for bit."""
+    powers = dict(
+        lambda_tilde=2, lambda_hat=2, kappa_tilde=2, trace_dual=2,
+        scores_tilde=1, scores_hat=1,
+    )
+    for field in dataclasses.fields(want):
+        power = powers.get(field.name, 0)
+        scaled = np.asarray(2.0 ** (power * k) * getattr(want, field.name))
+        value = np.asarray(getattr(got, field.name), dtype=np.float64)
+        assert value.tobytes() == scaled.tobytes(), (k, field.name)
 
 
 @pytest.mark.parametrize(
     "k",
     # k = -30 puts the entries near 1e-9, the scale of concentrations in
-    # mol: the round-off guards must scale with the trace, not stop at 1e-14
-    [-200, -100, -60, -30, 60, 100, 200]
-    + [pytest.param(k, marks=_LAPACK_RESCALES) for k in (-300, 300)],
+    # mol: the round-off guards must scale with the trace, not stop at
+    # 1e-14; past |k| = 250 LAPACK would rescale the Gram by a factor
+    # that is not a power of two, had sym_eigen not scaled it first
+    [-450, -300, -250, -200, -100, -60, -30, 60, 100, 200, 250, 300, 450],
 )
 def test_power_of_two_scaling_is_exact(k):
     x = _small_data_spike()
     for _ in _at_each_block_size():
-        want = nr_estimate(x)
-        got = nr_estimate(x * 2.0**k)
-        assert got.lambda_tilde[0] == want.lambda_tilde[0] * 2.0 ** (2 * k)
-        assert got.scores_tilde.tobytes() == (want.scores_tilde * 2.0**k).tobytes()
-        assert got.scores_hat.tobytes() == (want.scores_hat * 2.0**k).tobytes()
-        assert got.contribution_ratio == want.contribution_ratio
+        _assert_scaled(nr_estimate(x * 2.0**k), nr_estimate(x), k)
+
+
+@pytest.mark.parametrize(
+    "env",
+    [{}, {"OPENBLAS_CORETYPE": "Haswell"}, {"OPENBLAS_CORETYPE": "Nehalem"},
+     {"OPENBLAS_NUM_THREADS": "1"}],
+    ids=["default", "Haswell", "Nehalem", "one-thread"],
+)
+def test_power_of_two_scaling_is_exact_on_every_blas_kernel(run_python, env):
+    # the kernels round the Gram and the eigenpairs differently from
+    # one another, but on each of them the bits scale exactly
+    proc = run_python(
+        code="import dataclasses\n"
+        "import numpy as np\n"
+        "from nrpca.estimators import nr_estimate\n"
+        + "".join(map(inspect.getsource, (_small_data_spike, _assert_scaled)))
+        + "want = nr_estimate(_small_data_spike())\n"
+        "for k in (-450, -300, 300, 450):\n"
+        "    _assert_scaled(nr_estimate(_small_data_spike() * 2.0**k), want, k)\n"
+        "print('exact')\n",
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "exact\n"
 
 
 def test_estimate_holds_one_centered_block_not_a_centered_copy():
@@ -442,16 +471,27 @@ def test_underflowed_gram_is_a_numerical_error(x):
 RANGE_EDGES = (*range(440, 521), *range(-530, -439))
 
 
-# each example runs 172 estimates
-@settings(PROPERTY, max_examples=40)
-@given(d=st.integers(3, 59), n=st.integers(3, 11), seed=st.integers(0, 2**32 - 1))
-def test_range_edges_give_a_finite_estimate_or_a_named_error(d, n, seed):
-    # noise plus a rank-one spike, with row 0 scaled up
+def _spiked(d, n, seed):
+    """Noise plus a rank-one spike, with row 0 scaled up."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((d, n))
     spike = np.outer(rng.standard_normal(d), rng.standard_normal(n))
     x += rng.uniform(0.0, 5.0) * spike
     x[0] *= 10.0 ** rng.uniform(0.0, 2.0)
+    return x
+
+
+# the arguments of _spiked
+SPIKED = dict(
+    d=st.integers(3, 59), n=st.integers(3, 11), seed=st.integers(0, 2**32 - 1)
+)
+
+
+# each example runs 172 estimates
+@settings(PROPERTY, max_examples=40)
+@given(**SPIKED)
+def test_range_edges_give_a_finite_estimate_or_a_named_error(d, n, seed):
+    x = _spiked(d, n, seed)
     unscaled = _estimate_or_error(x)
     degenerate = isinstance(unscaled, tuple) and unscaled[0] is DegenerateSpectrumError
     for k in RANGE_EDGES:
@@ -467,6 +507,16 @@ def test_range_edges_give_a_finite_estimate_or_a_named_error(d, n, seed):
         for field in dataclasses.fields(est):
             assert np.isfinite(getattr(est, field.name)).all(), (k, field.name)
         assert np.any(est.h_tilde_1 != 0.0), k
+
+
+@PROPERTY
+@given(**SPIKED, k=st.integers(-480, 480))
+def test_power_of_two_scaling_is_exact_wherever_the_estimate_exists(d, n, seed, k):
+    x = _spiked(d, n, seed)
+    for _ in _at_each_block_size():
+        want = _estimate_or_error(x)
+        if not isinstance(want, tuple):
+            _assert_scaled(nr_estimate(x * 2.0**k), want, k)
 
 
 @PROPERTY

@@ -222,6 +222,21 @@ def test_sign_convention_matches_the_column_loop():
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("k", [-900, -600, 600, 900])
+def test_sym_eigen_is_exact_under_power_of_two_scaling(k):
+    # far outside [2^-485, 2^485], where LAPACK itself would rescale by a
+    # factor that is not a power of two; an empty matrix has no largest
+    # entry to scale by
+    b = np.random.default_rng(61).standard_normal((9, 9))
+    a = SymMatrix(b @ b.T + np.eye(9)).values
+    lam, v = sym_eigen(a)
+    lam_k, v_k = sym_eigen(a * 2.0**k)
+    assert lam_k.tobytes() == (lam * 2.0**k).tobytes()
+    assert v_k.tobytes() == v.tobytes()
+    values, vectors = sym_eigen(np.empty((0, 0)))
+    assert values.shape == (0,) and vectors.shape == (0, 0)
+
+
 def test_sym_eigen_reconstruction():
     a = _random_sym(6, 77)
     lam, v = sym_eigen(a)
