@@ -54,7 +54,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import DataMatrix
+from .linalg import DataMatrix, _binade
 from .parallel import close_pool, ordered_map
 
 __all__ = ["load_matrix", "save_matrix", "standardize_rows"]
@@ -384,8 +384,7 @@ def standardize_rows(matrix: DataMatrix | np.ndarray) -> DataMatrix:
     decision and leaves the output bits unchanged.
     """
     matrix = matrix if isinstance(matrix, DataMatrix) else DataMatrix(matrix)
-    _, exponent = np.frexp(np.abs(matrix.values).max(axis=1, keepdims=True))
-    values = np.ldexp(matrix.values, -exponent)
+    values, _ = _binade(matrix.values, axis=1)
     sd = np.std(values, axis=1, ddof=1)
     bad = np.nonzero(sd <= 1e-13 * np.abs(values.mean(axis=1)))[0]
     if bad.size:

@@ -109,8 +109,12 @@ class NrEstimate:
         return self.h_tilde_1 / math.sqrt(self.h_tilde_norm_sq)
 
     def aligned_with(self, direction: np.ndarray) -> "NrEstimate":
-        """Flip estimate signs so the estimated direction points along
-        a known true direction (used by simulations where truth exists)."""
+        """This estimate with h_tilde_1 and both score vectors negated
+        when h_tilde_1 points away from `direction` (a negative inner
+        product), else this estimate itself. An eigenvector's sign is a
+        convention, so this puts estimates from different runs, or an
+        estimate and a known or reference direction, on one sign before
+        their directions or scores are compared."""
         direction = np.asarray(direction, dtype=np.float64)
         if float(direction @ self.h_tilde_1) >= 0.0:
             return self

@@ -31,6 +31,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .estimators import DegenerateSpectrumError, NrEstimate
+from .linalg import _binade
 from .sampling import _check_choice, _check_count
 
 __all__ = [
@@ -242,9 +243,8 @@ def contribution_ci(
     pair = optimal_ab(df, alpha)
     # (lt1, k) scaled alike give the same interval, and a power of two
     # scales exactly: here no mass overflows and the larger input is normal
-    shift = -math.frexp(max(lambda_tilde_1, kappa_tilde))[1]
-    lambda_tilde_1 = math.ldexp(lambda_tilde_1, shift)
-    kappa_tilde = math.ldexp(kappa_tilde, shift)
+    scaled, _ = _binade(np.array([lambda_tilde_1, kappa_tilde]))
+    lambda_tilde_1, kappa_tilde = scaled.tolist()
     mass = df * lambda_tilde_1
     lower = mass / (pair.b * kappa_tilde + mass)
     upper = mass / (pair.a * kappa_tilde + mass)
@@ -345,12 +345,10 @@ def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
             "direction vectors must be 1-D of one length, "
             f"got shapes {h1.shape} and {h2.shape}"
         )
-    for name, h in (("h1", h1), ("h2", h2)):
-        if not np.isfinite(h).all():
-            raise ValueError(f"direction vector {name} has a non-finite entry")
     # the norms and the cosine test at a power-of-two scale: exact, and in
     # range for any two finite vectors, whatever their magnitudes
-    s1, s2 = (np.ldexp(h, -math.frexp(np.abs(h).max(initial=0.0))[1]) for h in (h1, h2))
+    s1 = _binade(h1, fault="direction vector h1 has a non-finite entry")[0]
+    s2 = _binade(h2, fault="direction vector h2 has a non-finite entry")[0]
     norm1, norm2 = float(np.linalg.norm(s1)), float(np.linalg.norm(s2))
     if norm1 == 0.0 or norm2 == 0.0:
         raise ValueError("direction vectors must be nonzero")
@@ -474,14 +472,12 @@ def jarque_bera(values: np.ndarray) -> JarqueBera:
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError(f"values must be a vector, got shape {values.shape}")
-    if not np.isfinite(values).all():
-        raise ValueError("values must be finite")
+    # skewness and kurtosis are scale-free, and at the power of two that puts
+    # the largest magnitude in [1/2, 1) no moment overflows or underflows
+    values, _ = _binade(values, fault="values must be finite")
     n = values.size
     if n < 8:
         raise ValueError(f"need at least 8 values, got {n}")
-    # skewness and kurtosis are scale-free, and at the power of two that puts
-    # the largest magnitude in [1/2, 1) no moment overflows or underflows
-    values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
     centered = values - values.mean()
     m2 = float(np.mean(centered**2))
     if m2 <= 0.0:

@@ -126,6 +126,26 @@ def dual_covariance(xc: np.ndarray) -> np.ndarray:
     return _finite_gram(gram) / (xc.shape[1] - 1)
 
 
+def _binade(a: np.ndarray, axis: int | None = None, fault: str | None = None):
+    """`a` divided by the power of two that puts its largest magnitude in
+    [1/2, 1), with that exponent. With `axis`, the largest magnitude is
+    taken over that axis (axis=1: each row of a 2-D array), and the
+    exponents keep it at length one.
+
+    The division is exact, so `np.ldexp(scaled, shift)` gives `a` back bit
+    for bit, except for an entry smaller than the largest by more than
+    2^1021, which can lose bits as a subnormal. A zero or empty `a` (or
+    slice) comes back unchanged at exponent 0. With `fault`, a NaN or
+    infinite largest magnitude raises ValueError(fault); without it, that
+    slice comes back unchanged at exponent 0.
+    """
+    top = np.abs(a).max(axis=axis, keepdims=axis is not None, initial=0.0)
+    if fault is not None and not np.isfinite(top).all():
+        raise ValueError(fault)
+    shift = np.frexp(top)[1]
+    return np.ldexp(a, -shift), shift
+
+
 def _apply_sign_convention(vectors: np.ndarray) -> None:
     # flip each column so its largest-magnitude component (the first of
     # ties) is positive; the flip goes through a fresh temporary because
@@ -157,9 +177,8 @@ def sym_eigen(a: SymMatrix | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     divided copy; it is below eps of the norm, where the solver's
     normwise accuracy ignores it anyway.
     """
-    a = a.values if isinstance(a, SymMatrix) else a
-    shift = np.frexp(np.abs(a).max(initial=0.0))[1]
-    values, vectors = np.linalg.eigh(np.ldexp(a, -shift))
+    a, shift = _binade(a.values if isinstance(a, SymMatrix) else a)
+    values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")
     eigenvectors = vectors[:, order]
     _apply_sign_convention(eigenvectors)

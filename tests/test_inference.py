@@ -229,6 +229,15 @@ def test_contribution_ci_survives_an_overflowing_mass():
     assert (ci.lower, ci.upper) == (0.0, 0.0)
 
 
+def test_contribution_ci_returns_python_floats():
+    # numpy 2 prints its scalars as np.float64(...), so a numpy scalar
+    # leaking into the interval would show in its repr
+    for lt1, kappa in [(2717.0, 9865.0), (1e308, 5e-324), (np.float64(3.0), 5e-324)]:
+        r = contribution_ci(lt1, kappa, 20)
+        assert type(r.lower) is type(r.upper) is float
+        assert "np.float64(" not in repr(r)
+
+
 _SIGNIFICANDS = st.just(0.0) | st.floats(1.0, 2.0, exclude_max=True)
 
 
@@ -673,6 +682,12 @@ def test_asymptotic_power_underflowing_ratio_rejects_surely():
     assert asymptotic_power(9, 19, 1.0, h=1e200, gamma=1e200, which="f3") == 1.0
     # a subnormal c reaches the formula, which gives the same limit
     assert asymptotic_power(9, 19, 1e-300, h=1e10, which="f2") == 1.0
+
+
+def test_jarque_bera_names_a_non_finite_value_before_the_count():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^values must be finite$"):
+            jarque_bera(np.array([1.0, bad, 2.0]))
 
 
 def test_jarque_bera_hand_computed():

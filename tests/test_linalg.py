@@ -17,6 +17,7 @@ from nrpca.linalg import (
     DataMatrix,
     SymMatrix,
     _apply_sign_convention,
+    _binade,
     center_columns,
     dual_covariance,
     sym_eigen,
@@ -235,6 +236,73 @@ def test_sym_eigen_is_exact_under_power_of_two_scaling(k):
     assert v_k.tobytes() == v.tobytes()
     values, vectors = sym_eigen(np.empty((0, 0)))
     assert values.shape == (0,) and vectors.shape == (0, 0)
+
+
+def test_power_of_two_binade_exponents_are_frexp_per_row():
+    rng = np.random.default_rng(67)
+    a = rng.standard_normal((5, 7)) * np.ldexp(1.0, rng.integers(-60, 60, (5, 1)))
+    scaled, shift = _binade(a, axis=1)
+    want = np.frexp(np.abs(a).max(axis=1, keepdims=True))[1]
+    assert shift.shape == (5, 1) and np.array_equal(shift, want)
+    top = np.abs(scaled).max(axis=1)
+    assert np.all((0.5 <= top) & (top < 1.0))
+    scaled, shift = _binade(a)
+    assert shift == np.frexp(np.abs(a).max())[1]
+    assert 0.5 <= np.abs(scaled).max() < 1.0
+
+
+@pytest.mark.parametrize(
+    "a, axis",
+    [
+        (np.empty(0), None),
+        (np.empty((3, 0)), 1),
+        (np.zeros((3, 4)), None),
+        (np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]), 1),
+    ],
+)
+def test_power_of_two_binade_leaves_zeros_and_empty_arrays_unchanged(a, axis):
+    scaled, shift = _binade(a, axis=axis)
+    assert scaled.shape == a.shape and scaled.tobytes() == a.tobytes()
+    assert not np.any(shift)
+
+
+_ROUND_TRIPS = {
+    # every row's largest magnitude is below 1/2, so no entry is divided
+    # into the subnormals, which is the one place the scaling rounds
+    "subnormal": np.array(
+        [
+            [5e-324, -2.5e-320, 1e-310],
+            [3e-308, -1e-309, 4.9e-324],
+            [0.25, 5e-324, -1e-320],
+        ]
+    ),
+    "huge": np.random.default_rng(71).standard_normal((3, 4)) * 2.0**1000,
+    "tiny": np.random.default_rng(73).standard_normal((3, 4)) * 2.0**-1000,
+    "mixed_sign": np.array([[-3.0, 2.0, -0.75], [1e-5, -1e5, 7.0]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUND_TRIPS))
+def test_power_of_two_binade_round_trips_bit_for_bit(case):
+    a = _ROUND_TRIPS[case]
+    for axis in (None, 1):
+        scaled, shift = _binade(a, axis=axis)
+        assert np.ldexp(scaled, shift).tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_power_of_two_binade_names_a_non_finite_maximum(bad):
+    a = np.array([[1.0, bad, 2.0], [0.5, -0.25, 3.0]])
+    for axis in (None, 1):
+        with pytest.raises(ValueError) as info:
+            _binade(a, axis=axis, fault="a fault named by the caller")
+        assert str(info.value) == "a fault named by the caller"
+    # without a fault text the non-finite slice comes back unchanged
+    scaled, shift = _binade(a, axis=1)
+    assert scaled[0].tobytes() == a[0].tobytes() and shift[0, 0] == 0
+    assert scaled[1].tobytes() == (a[1] / 4.0).tobytes()
+    scaled, shift = _binade(a)
+    assert scaled.tobytes() == a.tobytes() and shift == 0
 
 
 def test_sym_eigen_reconstruction():
