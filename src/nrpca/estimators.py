@@ -38,8 +38,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .linalg import (
+    _OVERFLOW,
     DataMatrix,
-    _finite_gram,
+    _finite,
     center_columns,
     dual_covariance,
     sym_eigen,
@@ -131,16 +132,15 @@ def _spectrum(gram: np.ndarray, n: int):
     exactly symmetric n x n array, except d, n and h_tilde_1; with u_hat_1
     and the direction scale (n-1)*lambda_tilde_1. Holds every guard on
     the Gram, however many blocks were summed into it."""
-    # a sum of finite blocks can overflow, and eigh of an inf returns
-    _finite_gram(gram)
+    # a sum of finite blocks can overflow, and eigh of an inf returns NaNs
+    _finite(gram, _OVERFLOW)
     eigenvalues, eigenvectors = sym_eigen(gram)
     # the largest number an estimate holds: it bounds the trace (n - 1
     # eigenvalues of at most lambda_hat_1), the scale, both scores and
-    # every entry of a PSD Gram; a float product, so numpy cannot warn,
-    # and _finite_gram names the overflow if it left the range
+    # every entry of a PSD Gram; a float product, so numpy cannot warn
     top = (n - 1) * float(eigenvalues[0])
     if not top < math.inf:
-        _finite_gram(np.array(top))
+        raise ValueError(_OVERFLOW)
     trace_dual = float(eigenvalues.sum())
     if trace_dual < _GRAM_UNDERFLOW:
         raise ValueError(

@@ -12,7 +12,9 @@ rule built from F quantiles.
 
 The chi-square and F functions are one-line calls into `scipy.special`
 (Cephes), which computes complements and upper-tail inverses directly;
-the F upper point adds one Newton step to `fdtri`'s.
+the F upper point adds to `fdtri`'s one Newton step on the upper tail,
+read from the regularized incomplete beta function (`betainc` or
+`betaincc`) at whichever argument is at most 1/2.
 Upper points are therefore inverted from the tail probability itself,
 never from 1 - alpha, so small alphas keep full relative accuracy. They
 check nothing: each public entry point checks its own arguments once,
@@ -158,19 +160,26 @@ def f_upper_point(d1: float, d2: float, alpha: float) -> float:
     Computed as 1 / (lower alpha point of F(d2, d1)), which inverts the
     tail probability alpha itself, then refined by one Newton step on
     the upper tail, f + (P(F > f) - alpha) / g(f) with g the F density:
-    `fdtri` alone is off by up to about 420 eps at df 100-300. A step
-    that is not finite or moves f by more than 1e-8 of itself is not
-    taken, so in the far tails the point is `fdtri`'s.
+    `fdtri` alone is off by up to about 420 eps at df 100-300. With
+    t = d1 f, P(F > f) is `betaincc`(d1/2, d2/2, t/(t + d2)) for t <= d2
+    and `betainc`(d2/2, d1/2, d2/(t + d2)) otherwise, so the argument is
+    at most 1/2 and is never formed as 1 minus the other. At small d1
+    with large d2 no scipy tail is exact everywhere: scipy's F tail
+    `fdtrc` is hundreds of eps off at moderate alpha, and `betaincc` at
+    small alpha (README "Known limits"). A step that is not finite or
+    moves f by more than 1e-8 of itself is not taken, so in the far
+    tails the point is `fdtri`'s.
     """
     sc = _sc()
     f = 1.0 / float(sc.fdtri(d2, d1, alpha))
     # the step as (P(F > f) / alpha - 1) * alpha / g(f), with alpha / g(f)
     # taken in logs so that neither underflows; with t = d1 f, log g(f) is
     # -(d1 log1p(d2/t) + d2 log1p(t/d2))/2 - log f - log B(d1/2, d2/2)
-    t = d1 * f
-    log_ratio = math.log(alpha) + math.log(f) + float(sc.betaln(0.5 * d1, 0.5 * d2))
+    t, a, b = d1 * f, 0.5 * d1, 0.5 * d2
+    log_ratio = math.log(alpha) + math.log(f) + float(sc.betaln(a, b))
     log_ratio += 0.5 * (d1 * math.log1p(d2 / t) + d2 * math.log1p(t / d2))
-    step = (float(sc.fdtrc(d1, d2, f)) / alpha - 1.0) * math.exp(min(log_ratio, 700.0))
+    p = sc.betaincc(a, b, t / (t + d2)) if t <= d2 else sc.betainc(b, a, d2 / (t + d2))
+    step = (float(p) / alpha - 1.0) * math.exp(min(log_ratio, 700.0))
     return f + step if abs(step) <= 1e-8 * f else f
 
 

@@ -14,6 +14,7 @@ exactly 2^k and leaves the eigenvectors' bits as they are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,14 +28,20 @@ __all__ = [
 ]
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+_NON_FINITE = "values must contain only finite values"
+_OVERFLOW = (
+    "the Gram matrix overflowed double precision; divide the data by a power of two"
+)
+
+
+def _finite(a: np.ndarray, fault: str) -> np.ndarray:
+    """`a`, unless it holds a NaN or an infinity: then ValueError(fault)."""
     # min and max carry a NaN through and allocate nothing the size of
-    # arr, where np.isfinite(arr) would allocate a bool per entry; their
+    # a, where np.isfinite(a) would allocate a bool per entry; their
     # initial 0 lets an empty array pass
-    if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
-        raise ValueError(f"{name} must contain only finite values")
-    return arr
+    if not (math.isfinite(a.min(initial=0.0)) and math.isfinite(a.max(initial=0.0))):
+        raise ValueError(fault)
+    return a
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,7 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_array(self.values, "values")
+        arr = _finite(np.asarray(self.values, dtype=np.float64), _NON_FINITE)
         if arr.ndim != 2:
             raise ValueError(f"values must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -74,7 +81,7 @@ class SymMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _as_float_array(self.values, "values")
+        arr = _finite(np.asarray(self.values, dtype=np.float64), _NON_FINITE)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"values must be square, got shape {arr.shape}")
         # relative to the largest entry, so the test does not depend on units
@@ -100,16 +107,6 @@ def center_columns(x: DataMatrix | np.ndarray) -> np.ndarray:
     return values - values.mean(axis=1, keepdims=True)
 
 
-def _finite_gram(gram: np.ndarray) -> np.ndarray:
-    """`gram`, unless a product or sum in it left double precision."""
-    if not np.isfinite(gram).all():
-        raise ValueError(
-            "the Gram matrix overflowed double precision; "
-            "divide the data by a power of two"
-        )
-    return gram
-
-
 def dual_covariance(xc: np.ndarray) -> np.ndarray:
     """The n x n dual sample covariance of a centered d x n array.
 
@@ -123,7 +120,7 @@ def dual_covariance(xc: np.ndarray) -> np.ndarray:
         raise ValueError(f"need at least 2 samples (columns), got {xc.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = xc.T @ xc
-    return _finite_gram(gram) / (xc.shape[1] - 1)
+    return _finite(gram, _OVERFLOW) / (xc.shape[1] - 1)
 
 
 def _binade(a: np.ndarray, axis: int | None = None, fault: str | None = None):
@@ -140,9 +137,7 @@ def _binade(a: np.ndarray, axis: int | None = None, fault: str | None = None):
     slice comes back unchanged at exponent 0.
     """
     top = np.abs(a).max(axis=axis, keepdims=axis is not None, initial=0.0)
-    if fault is not None and not np.isfinite(top).all():
-        raise ValueError(fault)
-    shift = np.frexp(top)[1]
+    shift = np.frexp(top if fault is None else _finite(top, fault))[1]
     return np.ldexp(a, -shift), shift
 
 

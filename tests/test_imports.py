@@ -5,6 +5,8 @@ import ast
 import importlib.util
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -160,3 +162,23 @@ def test_the_code_line_counter_leaves_out_docstrings_comments_and_blanks(tmp_pat
     )
     # x = (1, / 2) / def f(): / return """text / """
     assert counter.code_lines(path) == 5
+
+
+def test_the_ab_timer_prints_one_record():
+    # two rounds of the tiny op, both sides the tree under test; the
+    # fields only, with no timing gate
+    root = Path(__file__).resolve().parent.parent
+    tree = Path(nrpca.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "ab.py"), str(tree), str(tree),
+         "--workload", "nr_estimate", "--rounds", "2"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (line,) = proc.stdout.splitlines()
+    record = json.loads(line)
+    assert record["workload"] == "nr_estimate" and record["rounds"] == 2
+    low, high = record["ci95"]
+    assert 0.0 < low <= record["median_ratio"] <= high
+    assert 0.0 < record["sign_p"] <= 1.0
+    assert {"cpu", "cores", "python", "numpy", "scipy"} <= record["machine"].keys()

@@ -71,6 +71,16 @@ def test_sym_matrix_symmetrizes_and_rejects():
         SymMatrix(np.ones((2, 3)))
 
 
+def test_sym_matrix_refuses_nan_and_both_infinities():
+    # symmetric, so only the finiteness guard can refuse it: a NaN makes
+    # the symmetry test's largest difference NaN, which compares false
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="^values must contain only finite values$"):
+            SymMatrix(a)
+
+
 def test_sym_matrix_tolerance_is_relative_to_its_largest_entry():
     # the tolerance was 1e-8 * (1 + max |a_ij|), a floor of 1e-8 that let
     # this matrix through at 2^-40 and symmetrized it to 2^-40 * ones

@@ -210,23 +210,34 @@ def test_f_statistics_match_a_50_digit_oracle(nu1, nu2, d, seed, spike, alpha):
 )
 @given(nu1=st.integers(2, 300), nu2=st.integers(2, 300), alpha=ALPHAS)
 @example(nu1=201, nu2=266, alpha=1e-5)
+@example(nu1=10, nu2=143, alpha=0.07248174037071885)
 def test_f_critical_points_match_a_50_digit_oracle(nu1, nu2, alpha):
     _check_f_critical_points(nu1, nu2, alpha)
+
+
+def test_f_critical_points_at_small_even_d1_and_large_d2():
+    # the two-sided lower point inverts F(12, 77) at p = 0.0685, where a
+    # Newton step on scipy's fdtrc tail left it 231 eps off
+    _check_f_critical_points(77, 12, 0.137)
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="fdtrc is inexact at small even d1 with large d2: the Newton "
-    "step leaves F(12, 77)'s upper 0.137 point about 119 eps off",
+    reason="scipy's betaincc is inexact at small d1 with large d2 and small "
+    "alpha, so the Newton step leaves these points 300 and 260 eps off",
 )
-def test_f_critical_points_at_small_even_d1_and_large_d2():
-    # the less.lower_crit branch inverts F(12, 77) at p = 0.137
-    _check_f_critical_points(77, 12, 0.137)
+@pytest.mark.parametrize("d1, d2, alpha", [(14, 215, 0.000739), (8, 267, 1.78e-05)])
+def test_f_upper_point_where_betaincc_is_inexact(d1, d2, alpha):
+    # scipy's fdtrc is within 0.5 eps here, and inexact where betaincc is
+    # exact (F(12, 77) above), so neither scipy tail is right everywhere
+    point = f_upper_point(d1, d2, alpha)
+    assert _rel(point, _f_upper_point(d1, d2, alpha, point)) <= 64 * EPS
 
 
-# in the far tail fdtrc is inexact too, so the Newton step that would
-# mend fdtri's point moves by far more than 1e-8 of it and is refused
+# in the far tail fdtri's point is off by more than one Newton step can
+# mend (and at F(20, 50) the incomplete beta tail is inexact too), so the
+# step moves it by far more than 1e-8 of itself and is refused
 _FDTRI_FAR_TAIL = pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
