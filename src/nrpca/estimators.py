@@ -115,8 +115,12 @@ class NrEstimate:
         product), else this estimate itself. An eigenvector's sign is a
         convention, so this puts estimates from different runs, or an
         estimate and a known or reference direction, on one sign before
-        their directions or scores are compared."""
+        their directions or scores are compared. `direction` must be a
+        finite vector of length d."""
         direction = np.asarray(direction, dtype=np.float64)
+        if direction.shape != (self.d,):
+            raise ValueError(f"direction has shape {direction.shape}, not ({self.d},)")
+        _finite(direction, "direction has a non-finite entry")
         if float(direction @ self.h_tilde_1) >= 0.0:
             return self
         return replace(

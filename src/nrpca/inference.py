@@ -34,7 +34,7 @@ import numpy as np
 
 from .estimators import DegenerateSpectrumError, NrEstimate
 from .linalg import _binade
-from .sampling import _check_choice, _check_count
+from .sampling import _check_choice, _check_count, _check_real
 
 __all__ = [
     "OrthogonalDirectionsError",
@@ -184,12 +184,11 @@ def f_upper_point(d1: float, d2: float, alpha: float) -> float:
 
 
 def _check_ci_alpha(alpha: float) -> float:
-    alpha = float(alpha)
     # from 1 - alpha = 4e-6 on, the upper point is NaN at the bracket's
     # end for small df; on df 2 to 10^4 it is finite up to the upper bound
-    if not 1e-6 <= alpha <= 1.0 - 1e-5:
-        raise ValueError(f"alpha must lie in [1e-6, 1 - 1e-5], got {alpha}")
-    return alpha
+    return _check_real(
+        "alpha", alpha, lambda a: 1e-6 <= a <= 1.0 - 1e-5, "lie in [1e-6, 1 - 1e-5]"
+    )
 
 
 def optimal_ab(df: int, alpha: float) -> QuantilePair:
@@ -235,15 +234,10 @@ def contribution_ci(
     [(n-1) lt1 / (b k + (n-1) lt1), (n-1) lt1 / (a k + (n-1) lt1)]
     with (a, b) the minimum-length chi-square(n-1) pair at 1 - alpha.
     """
-    lambda_tilde_1 = float(lambda_tilde_1)
-    kappa_tilde = float(kappa_tilde)
     n = _check_count("n", n, 3)
-    for name, value in (
-        ("lambda_tilde_1", lambda_tilde_1),
-        ("kappa_tilde", kappa_tilde),
-    ):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    nonnegative = (lambda v: 0.0 <= v < math.inf, "be finite and nonnegative")
+    lambda_tilde_1 = _check_real("lambda_tilde_1", lambda_tilde_1, *nonnegative)
+    kappa_tilde = _check_real("kappa_tilde", kappa_tilde, *nonnegative)
     if lambda_tilde_1 == 0.0 and kappa_tilde == 0.0:
         raise DegenerateSpectrumError(
             "lambda_tilde_1 and kappa_tilde are both zero; the ratio is undefined"
@@ -270,10 +264,7 @@ def _two_sided_bounds(nu1: int, nu2: int, alpha: float) -> tuple[float, float]:
 
 
 def _check_test_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"test alpha must lie in (0, 1/2), got {alpha}")
-    return alpha
+    return _check_real("test alpha", alpha, lambda a: 0.0 < a < 0.5, "lie in (0, 1/2)")
 
 
 def _outcome(
@@ -306,9 +297,7 @@ def _outcome(
 
 
 def _positive(value: float, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
+    value = _check_real(name, value, math.isfinite, "be finite")
     if value <= 0.0:
         raise DegenerateSpectrumError(f"{name} must be positive, got {value}")
     return value
@@ -356,18 +345,20 @@ def direction_h(h1: np.ndarray, h2: np.ndarray) -> float:
         )
     # the norms and the cosine test at a power-of-two scale: exact, and in
     # range for any two finite vectors, whatever their magnitudes
-    s1 = _binade(h1, fault="direction vector h1 has a non-finite entry")[0]
-    s2 = _binade(h2, fault="direction vector h2 has a non-finite entry")[0]
+    s1, e1 = _binade(h1, fault="direction vector h1 has a non-finite entry")
+    s2, e2 = _binade(h2, fault="direction vector h2 has a non-finite entry")
     norm1, norm2 = float(np.linalg.norm(s1)), float(np.linalg.norm(s2))
     if norm1 == 0.0 or norm2 == 0.0:
         raise ValueError("direction vectors must be nonzero")
-    if abs(float(s1 @ s2)) <= 1e-8 * norm1 * norm2:
+    if abs(scaled := float(s1 @ s2)) <= 1e-8 * norm1 * norm2:
         raise OrthogonalDirectionsError(
             "direction estimates are numerically orthogonal (|cos| <= 1e-8); "
             "the direction-adjusted statistic is unbounded"
         )
+    # the raw inner product: the bits of h1 @ h2 wherever none of its
+    # terms is subnormal, and free of their underflow where some are
     with np.errstate(over="ignore"):
-        inner = abs(float(h1 @ h2))
+        inner = float(abs(np.ldexp(scaled, e1 + e2)))
     # a subnormal inner product has lost bits, and its reciprocal overflows
     if not sys.float_info.min <= inner < math.inf:
         raise ValueError(f"the inner product {inner:.3e} is outside the double range")
@@ -440,16 +431,10 @@ def asymptotic_power(
     "f1", "f2" and "f3", lower case.
     """
     nu1, nu2 = _check_count("nu1", nu1, 1), _check_count("nu2", nu2, 1)
-    lambda_ratio = float(lambda_ratio)
-    if not 0.0 < lambda_ratio < math.inf:
-        raise ValueError(
-            f"lambda_ratio must be finite and positive, got {lambda_ratio}"
-        )
-    h = float(h)
-    gamma = float(gamma)
-    for name, value in (("h", h), ("gamma", gamma)):
-        if not 1.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and >= 1, got {value}")
+    positive = (lambda v: 0.0 < v < math.inf, "be finite and positive")
+    lambda_ratio = _check_real("lambda_ratio", lambda_ratio, *positive)
+    at_least_1 = (lambda v: 1.0 <= v < math.inf, "be finite and >= 1")
+    h, gamma = (_check_real(k, v, *at_least_1) for k, v in (("h", h), ("gamma", gamma)))
     alpha = _check_test_alpha(alpha)
     _check_choice("which", which, ("f1", "f2", "f3"))
     c = lambda_ratio / {"f1": 1.0, "f2": h, "f3": h * gamma}[which]

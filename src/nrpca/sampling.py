@@ -1,5 +1,10 @@
 """Seeded random streams and the samplers the simulation harness uses,
-and the package's count, seed and choice checks.
+and the package's count, real-number, seed and choice checks.
+
+A count or a seed must be an int or a numpy integer, and a real
+argument an int, a float or a numpy integer or floating scalar; a bool,
+a string, an array or anything else is refused with a TypeError that
+names the argument, never converted.
 
 The generator contract: every stream is a numpy Philox-4x64 counter
 generator whose raw 128-bit key is derived from a user seed and a path of
@@ -39,6 +44,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # the polar method accepts a pair at rate pi/4 and a pair gives two
 # normals, so one normal takes 1/(2 pi/4) ~ 0.64 pairs; 0.66 leaves slack
 _PAIRS_PER_NORMAL = 0.66
+# the types a real argument may have: a tuple isinstance costs a fraction
+# of numbers.Real's abstract-class check
+_REAL = (int, float, np.integer, np.floating)
 
 
 def _check_seed(seed: int, name: str = "seed") -> int:
@@ -132,6 +140,18 @@ def _check_count(name: str, value, least: int = 0) -> int:
             f"{name} is too large for a float: an integer of "
             f"{value.bit_length()} bits"
         ) from None
+    return value
+
+
+def _check_real(name: str, value, ok, rule: str) -> float:
+    """`value` as a float. Raises TypeError unless it is an int, a float
+    or a numpy integer or floating scalar, and not a bool; raises
+    ValueError(f"{name} must {rule}, got ...") unless `ok` holds. Each
+    `ok` is a comparison, so NaN fails it."""
+    if isinstance(value, bool) or not isinstance(value, _REAL):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not ok(value := float(value)):
+        raise ValueError(f"{name} must {rule}, got {value}")
     return value
 
 

@@ -46,6 +46,7 @@ from .sampling import (
     Seed,
     _check_choice,
     _check_count,
+    _check_real,
     _check_seed,
     _polar_normals,
     make_stream,
@@ -182,12 +183,9 @@ def gen_ar1(
     the recursion bit for bit. The array returned is Fortran-ordered.
     """
     d = _check_count("d", d, 1)
-    rho = float(rho)
-    if not -1.0 < rho < 1.0:
-        raise ValueError(f"need |rho| < 1, got {rho}")
-    scale = float(scale)
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    rho = _check_real("rho", rho, lambda r: -1.0 < r < 1.0, "lie in (-1, 1)")
+    positive = (lambda v: 0.0 < v < math.inf, "be positive and finite")
+    scale = _check_real("scale", scale, *positive)
     e = sample_std_normal(rng, (d, size))
     if e.size == 0:  # dtbsv rejects an empty vector
         return e

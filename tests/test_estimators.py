@@ -136,6 +136,19 @@ def test_aligned_with_flips_all_direction_outputs():
     assert np.array_equal(unchanged.h_hat_1, est.h_hat_1)
 
 
+def test_aligned_with_refuses_a_direction_it_cannot_read():
+    # a NaN direction used to flip the estimate silently, and a wrong
+    # shape failed inside matmul with numpy's core-dimension message
+    est = nr_estimate(DataMatrix(np.random.default_rng(41).normal(size=(25, 6))))
+    for direction in (np.full(25, np.nan), np.r_[np.inf, np.ones(24)]):
+        with pytest.raises(ValueError, match="^direction has a non-finite entry$"):
+            est.aligned_with(direction)
+    for direction in (np.ones(24), np.ones((25, 1))):
+        shape = re.escape(f"{direction.shape}, not (25,)")
+        with pytest.raises(ValueError, match=f"^direction has shape {shape}$"):
+            est.aligned_with(direction)
+
+
 def test_equal_spectrum_raises_degenerate_error():
     # the identity has every dual eigenvalue equal, so the correction
     # removes the top one entirely

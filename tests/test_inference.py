@@ -33,6 +33,7 @@ from nrpca.inference import (
     test_f3 as f3_test,
 )
 from nrpca.sampling import make_stream, sample_chi2
+from nrpca.simulation import gen_ar1
 
 # minimum-length chi-square(19) pair at 95%, from an independent
 # extended-precision solve of the stationarity system
@@ -295,6 +296,97 @@ def test_counts_must_be_integers():
         call(2**62)  # a large count that a float holds still works
         call(np.int64(10))  # numpy integers are counts too
     assert contribution_ci(1.0, 5.0, np.int32(10)) == contribution_ci(1.0, 5.0, 10)
+
+
+# each real argument by the name its messages give: the call with the
+# argument as v, its rule, a valid value that a float32 holds, and an
+# integer, valid but for the alphas
+REAL_ARGUMENTS = {
+    "alpha": (
+        lambda v: contribution_ci(2.0, 1.0, 10, alpha=v),
+        "lie in [1e-6, 1 - 1e-5]",
+        0.125,
+        1,
+    ),
+    "test alpha": (
+        lambda v: f1_test(1.0, 2.0, 10, 20, alpha=v),
+        "lie in (0, 1/2)",
+        0.125,
+        0,
+    ),
+    "lambda_tilde_1": (
+        lambda v: contribution_ci(v, 1.0, 10),
+        "be finite and nonnegative",
+        2.5,
+        2,
+    ),
+    "kappa_tilde": (
+        lambda v: contribution_ci(2.0, v, 10),
+        "be finite and nonnegative",
+        1.5,
+        3,
+    ),
+    "lt1": (lambda v: f1_test(v, 2.0, 10, 20), "be finite", 3.5, 3),
+    "lambda_ratio": (
+        lambda v: asymptotic_power(9, 19, v),
+        "be finite and positive",
+        1.5,
+        2,
+    ),
+    "h": (
+        lambda v: asymptotic_power(9, 19, 1.5, h=v, which="f2"),
+        "be finite and >= 1",
+        1.25,
+        2,
+    ),
+    "gamma": (
+        lambda v: asymptotic_power(9, 19, 1.5, 1.25, v, which="f3"),
+        "be finite and >= 1",
+        1.75,
+        2,
+    ),
+    "rho": (
+        lambda v: gen_ar1(4, v, 1.0, make_stream(3), 2),
+        "lie in (-1, 1)",
+        -0.375,
+        0,
+    ),
+    "scale": (
+        lambda v: gen_ar1(4, 0.5, v, make_stream(3), 2),
+        "be positive and finite",
+        0.75,
+        2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ARGUMENTS)
+def test_real_arguments_take_numbers_only(name):
+    call, rule, good, whole = REAL_ARGUMENTS[name]
+    # a string, a bool, None and an array used to be converted by float(),
+    # or failed inside it; each is now refused by name, as counts are
+    for value in ("0.5", True, None, np.array(good)):
+        with pytest.raises(TypeError, match=f"^{name} must be a real number, got "):
+            call(value)
+    fault = f"^{re.escape(name)} must {re.escape(rule)}, got "
+    with pytest.raises(ValueError, match=fault + "nan$"):
+        call(math.nan)
+    want = call(good)
+    for value in (np.float32(good), np.float64(good)):
+        np.testing.assert_equal(call(value), want)
+    if name.endswith("alpha"):  # no alpha is an integer, but one is read
+        with pytest.raises(ValueError, match=fault + f"{float(whole)}$"):
+            call(np.int64(whole))
+    else:
+        np.testing.assert_equal(call(np.int64(whole)), call(whole))
+        np.testing.assert_equal(call(whole), call(float(whole)))
+
+
+def test_rho_names_its_open_interval():
+    for rho in (1.0, -1, 2.5, -math.inf):
+        fault = re.escape(f"rho must lie in (-1, 1), got {float(rho)}")
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            gen_ar1(4, rho, 1.0, make_stream(3), 2)
 
 
 def test_contribution_ci_covers_iff_pivot_in_pair():

@@ -139,13 +139,27 @@ def test_interval_matches_a_50_digit_oracle(df, alpha, lt1, kappa, k):
 def _f_upper_point(d1: int, d2: int, p: float, start: float):
     """The f with P(F(d1, d2) > f) = p, at 50 digits: that tail is the
     regularized incomplete beta I_x(d2/2, d1/2) at x = d2/(d2 + d1 f),
-    solved for log f from `start`."""
+    solved for log f from `start`.
+
+    Up to x = 0.8, where mpmath sums a 2F1 term by term, I_x(a, b) is
+    x^a (1 - x)^b / (a B(a, b)) 2F1(a + b, 1; a + 1; x), whose terms all
+    have one sign: `mpmath.betainc`'s alternating series gives up
+    ("converges too slowly") when both df are near 10^5. Above 0.8 that
+    2F1 is transformed, which took 1.3 s a call at F(8, 10^9), so
+    `betainc` is used, whose series is finite at even d1. Points where x
+    is above 0.8 and both df are large, such as F(87000, 500000) at
+    0.01, take minutes either way, and are left out."""
     with mpmath.workdps(50):
         a, b, log_p = mpmath.mpf(d2) / 2, mpmath.mpf(d1) / 2, mpmath.log(p)
 
+        def tail(x):
+            if x > 0.8:
+                return mpmath.betainc(a, b, 0, x, regularized=True)
+            series = mpmath.hyp2f1(a + b, 1, a + 1, x, maxterms=10**6)
+            return x**a * (1 - x) ** b / (a * mpmath.beta(a, b)) * series
+
         def gap(t):
-            x = d2 / (d2 + d1 * mpmath.exp(t))
-            return mpmath.log(mpmath.betainc(a, b, 0, x, regularized=True)) - log_p
+            return mpmath.log(tail(d2 / (d2 + d1 * mpmath.exp(t)))) - log_p
 
         return mpmath.exp(mpmath.findroot(gap, mpmath.log(start)))
 
@@ -211,6 +225,8 @@ def test_f_statistics_match_a_50_digit_oracle(nu1, nu2, d, seed, spike, alpha):
 @given(nu1=st.integers(2, 300), nu2=st.integers(2, 300), alpha=ALPHAS)
 @example(nu1=201, nu2=266, alpha=1e-5)
 @example(nu1=10, nu2=143, alpha=0.07248174037071885)
+@example(nu1=192507, nu2=389086, alpha=1.58e-7)
+@example(nu1=100000, nu2=100000, alpha=0.05)
 def test_f_critical_points_match_a_50_digit_oracle(nu1, nu2, alpha):
     _check_f_critical_points(nu1, nu2, alpha)
 
