@@ -40,6 +40,7 @@ import numpy as np
 from .linalg import (
     _OVERFLOW,
     DataMatrix,
+    _binade,
     _finite,
     center_columns,
     dual_covariance,
@@ -120,8 +121,10 @@ class NrEstimate:
         direction = np.asarray(direction, dtype=np.float64)
         if direction.shape != (self.d,):
             raise ValueError(f"direction has shape {direction.shape}, not ({self.d},)")
-        _finite(direction, "direction has a non-finite entry")
-        if float(direction @ self.h_tilde_1) >= 0.0:
+        # the sign of the inner product at a power-of-two scale: exact, and
+        # in range for any finite direction, whatever its magnitude
+        scaled, _ = _binade(direction, fault="direction has a non-finite entry")
+        if float(scaled @ self.h_tilde_1) >= 0.0:
             return self
         return replace(
             self,

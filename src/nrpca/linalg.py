@@ -44,6 +44,15 @@ def _finite(a: np.ndarray, fault: str) -> np.ndarray:
     return a
 
 
+def _real(values) -> np.ndarray:
+    """`values` as a finite float64 array; a complex array is refused, not
+    cast to its real part."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise TypeError(f"values must be real, got {arr.dtype}")
+    return _finite(arr.astype(np.float64, copy=False), _NON_FINITE)
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """A d x n data matrix, one variable per row, one sample per column.
@@ -55,7 +64,7 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _finite(np.asarray(self.values, dtype=np.float64), _NON_FINITE)
+        arr = _real(self.values)
         if arr.ndim != 2:
             raise ValueError(f"values must be 2-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -76,18 +85,21 @@ class DataMatrix:
 # one input type of sym_eigen; the benchmark probe builds one directly
 @dataclass(frozen=True)
 class SymMatrix:
-    """A symmetric m x m matrix, symmetrized exactly on construction."""
+    """A symmetric m x m matrix. Its lower triangle is kept and mirrored,
+    the triangle LAPACK reads from a plain array, so `sym_eigen` of it
+    gives the bits of `sym_eigen` of the array."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _finite(np.asarray(self.values, dtype=np.float64), _NON_FINITE)
+        arr = _real(self.values)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"values must be square, got shape {arr.shape}")
         # relative to the largest entry, so the test does not depend on units
         if np.abs(arr - arr.T).max(initial=0.0) > 1e-8 * np.abs(arr).max(initial=0.0):
             raise ValueError("matrix is not symmetric within tolerance")
-        object.__setattr__(self, "values", (arr + arr.T) / 2.0)
+        # the lower triangle mirrored: a selection, so no value is rounded
+        object.__setattr__(self, "values", np.where(np.tri(len(arr)), arr, arr.T))
 
 
 def center_columns(x: DataMatrix | np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import inspect
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,23 @@ def test_aligned_with_refuses_a_direction_it_cannot_read():
         shape = re.escape(f"{direction.shape}, not (25,)")
         with pytest.raises(ValueError, match=f"^direction has shape {shape}$"):
             est.aligned_with(direction)
+
+
+def test_aligned_with_decides_alike_at_every_power_of_two_scale():
+    # the raw inner product overflowed to NaN near 2^1023 and flipped the
+    # estimate; at the binade the decision cannot depend on the scale
+    rng = np.random.default_rng(97)
+    est = nr_estimate(rng.standard_normal((5000, 10)))
+    z = rng.standard_normal((200, 5000))
+    # each direction's largest magnitude in [1/2, 1), so 2^1023 stays finite
+    unit = np.ldexp(z, -np.frexp(np.abs(z).max(axis=1, keepdims=True))[1])
+    want = [math.fsum(u * est.h_tilde_1) >= 0.0 for u in unit]
+    assert 50 < sum(want) < 150
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-1000, -300, 300, 1000, 1023):
+            got = [est.aligned_with(np.ldexp(u, k)) is est for u in unit]
+            assert got == want, k
 
 
 def test_equal_spectrum_raises_degenerate_error():

@@ -71,6 +71,69 @@ def test_sym_matrix_symmetrizes_and_rejects():
         SymMatrix(np.ones((2, 3)))
 
 
+def test_data_matrix_refuses_complex_values_and_keeps_real_bits():
+    # a complex array was cast to its real part with numpy's ComplexWarning
+    x = np.arange(12.0).reshape(3, 4)
+    for bad in (x + 0j, (x + 1j).astype(np.complex64)):
+        with pytest.raises(TypeError, match=f"^values must be real, got {bad.dtype}$"):
+            DataMatrix(bad)
+    for good in (x.astype(int), x.astype(np.float32), x.astype(str), x > 4.0):
+        assert DataMatrix(good).values.tobytes() == good.astype(np.float64).tobytes()
+
+
+def test_sym_matrix_refuses_complex_values_and_keeps_real_bits():
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(TypeError, match="^values must be real, got complex128$"):
+        SymMatrix(a + 0j)
+    for good in (a.astype(np.float32), a.astype(str), a > 0.75, np.eye(2, dtype=int)):
+        assert SymMatrix(good).values.tobytes() == good.astype(np.float64).tobytes()
+
+
+def test_sym_matrix_keeps_the_triangle_sym_eigen_reads():
+    # LAPACK reads the lower triangle of a plain array, so SymMatrix keeps
+    # that triangle mirrored; the average of both triangles it stored
+    # before gave other bits whenever the two differed
+    rng = np.random.default_rng(83)
+    for _ in range(50):
+        m = int(rng.integers(2, 30))
+        g = rng.standard_normal((m, m))
+        b = g @ g.T + m * np.eye(m)
+        i, j = np.sort(rng.choice(m, 2, replace=False))
+        b[i, j] *= 1.0 + 1e-12
+        s = SymMatrix(b)
+        assert np.array_equal(s.values, s.values.T)
+        assert np.tril(s.values).tobytes() == np.tril(b).tobytes()
+        for got, want in zip(sym_eigen(s), sym_eigen(b)):
+            assert got.tobytes() == want.tobytes()
+    # at the top of the range the average stored inf and sym_eigen gave NaN
+    a = np.array([[1.7e308, 1e307], [1e307, 1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for got, want in zip(sym_eigen(SymMatrix(a)), sym_eigen(a)):
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 600, 1000, "top"])
+def test_sym_matrix_is_exact_under_power_of_two_scaling_to_the_top_of_the_range(k):
+    # averaging the triangles overflowed once an entry reached 2^1023;
+    # the kept triangle does no arithmetic
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rng = np.random.default_rng(89)
+        g = rng.standard_normal((9, 9))
+        b = np.diag(np.linspace(0.9, 0.1, 9)) + 1e-3 * (g + g.T)
+        b[0, 3] *= 1.0 + 1e-12
+        lam, v = sym_eigen(SymMatrix(b))
+        # at "top", the largest eigenvalue and entry sit in [2^1023, 2^1024)
+        k = 1024 - np.frexp(lam[0])[1] if k == "top" else k
+        bk = np.ldexp(b, k)
+        lam_k, v_k = sym_eigen(SymMatrix(bk))
+        assert lam_k.tobytes() == np.ldexp(lam, k).tobytes()
+        assert v_k.tobytes() == v.tobytes()
+        for got, want in zip((lam_k, v_k), sym_eigen(bk)):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_sym_matrix_refuses_nan_and_both_infinities():
     # symmetric, so only the finiteness guard can refuse it: a NaN makes
     # the symmetry test's largest difference NaN, which compares false

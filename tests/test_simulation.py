@@ -182,6 +182,24 @@ def test_gen_spiked_population_covariance():
             assert abs(second[i, j]) <= 0.05 * math.sqrt(lam[i] * lam[j])
 
 
+def test_the_data_predict_each_draws_direction_angle():
+    # the paper's direction asymptotics: lambda_tilde_1 / lambda_hat_1 =
+    # 1 / h_tilde_norm_sq estimates each draw's own cos^2(h_hat_1, h_1),
+    # here h_hat_1[0]^2 since h_1 is the first axis, more closely as d grows
+    medians = []
+    for d, bound in ((2048, 0.03), (8192, 0.02)):
+        scenario = SpikeScenario(model="b", d=d, n=10, seed=77)
+        predicted, realized = np.empty(100), np.empty(100)
+        for r in range(100):
+            est = nr_estimate(gen_spiked(scenario, make_stream(77, d, r, 0)).x)
+            predicted[r] = 1.0 / est.h_tilde_norm_sq
+            realized[r] = est.h_hat_1[0] ** 2
+        medians.append(float(np.median(np.abs(predicted - realized))))
+        assert medians[-1] <= bound
+        assert np.corrcoef(predicted, realized)[0, 1] >= 0.9
+    assert medians[1] < medians[0]
+
+
 def test_gen_ar1_zero_rho_is_scaled_noise():
     rng = make_stream(5, 1)
     out = gen_ar1(6, 0.0, 2.0, rng, size=4)
